@@ -132,6 +132,13 @@ def kernel_projector(a: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def entropy_psd(a: np.ndarray, tol: float = SUPPORT_TOL) -> float:
+    """-tr[a ln a] of a PSD matrix, over eigenvalues above ``tol``."""
+    w = np.linalg.eigvalsh(a)
+    w = w[w > tol]
+    return float(-np.sum(w * np.log(w)))
+
+
 def trace_real(a: np.ndarray) -> float:
     return float(np.trace(a).real)
 

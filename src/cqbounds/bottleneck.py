@@ -366,39 +366,47 @@ class _ChannelWork:
         self.tr_lognu = _traces_against(self.stack, self.log_nu)
         self.c = c
 
-    def evaluate(self, kernel):
-        joint = self.measure[:, None] * kernel  # (x, u)
-        p_u = joint.sum(axis=0)
-        active = np.flatnonzero(p_u > _ROW_MASS_TOL)
-        grad = np.zeros_like(kernel)
-        if active.size == 0:
-            return 0.0, grad
-        blocks = np.einsum("xu,xjk->ujk", joint[:, active], self.stack)
-        sig = blocks / p_u[active, None, None]
-        w, v = np.linalg.eigh(sig)  # batched over active messages
+    def evaluate(self, kernels):
+        """Values (S,) and gradients (S, x, u) for a stack of S kernels.
+
+        Every (kernel, message) pair with mass above ``_ROW_MASS_TOL`` is one
+        column p of the (x, p) joint, so all conditional outputs go through
+        one einsum and one batched ``eigh``.
+        """
+        joint = self.measure[None, :, None] * kernels  # (s, x, u)
+        p_u = joint.sum(axis=1)
+        active = p_u > _ROW_MASS_TOL
+        cols = joint.transpose(1, 0, 2)[:, active]  # (x, p), p runs over (s, u)
+        mass = p_u[active]
+        blocks = np.einsum("xp,xjk->pjk", cols, self.stack)
+        sig = blocks / mass[:, None, None]
+        w, v = np.linalg.eigh(sig)
         pos = w > SUPPORT_TOL
         log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
         log_sig = (v * log_w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        d_out = np.sum(w * log_w, axis=1) - np.einsum("ujk,kj->u", sig, self.log_nu).real
-        post = joint[:, active] / p_u[active]
+        d_out = np.sum(w * log_w, axis=1) - np.einsum("pjk,kj->p", sig, self.log_nu).real
+        post = cols / mass
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(
                 post > 0.0, post * np.log(np.maximum(post, 1e-300) / self.reference[:, None]), 0.0
             )
         d_in = terms.sum(axis=0)
-        value = float(np.sum(p_u[active] * (self.c * d_out - d_in)))
-        scores = np.einsum("xjk,ukj->xu", self.stack, log_sig).real
+        # pad with -0.0, an exact additive identity: with fewer than 8 messages
+        # a row sums its active terms as np.sum sums them alone, so a kernel
+        # gets the same value in a batch as by itself
+        per_message = np.full(active.shape, -0.0)
+        per_message[active] = mass * (self.c * d_out - d_in)
+        values = per_message.sum(axis=1)
+        scores = np.einsum("xjk,pkj->xp", self.stack, log_sig).real
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(
-                joint[:, active] > 0.0,
-                np.log(
-                    np.maximum(joint[:, active], 1e-300)
-                    / (p_u[active] * self.reference[:, None])
-                ),
+                cols > 0.0,
+                np.log(np.maximum(cols, 1e-300) / (mass * self.reference[:, None])),
                 0.0,
             )
-        grad[:, active] = self.c * (scores - self.tr_lognu[:, None]) - ratio
-        return value, grad
+        grads = np.zeros_like(kernels)
+        grads.transpose(1, 0, 2)[:, active] = self.c * (scores - self.tr_lognu[:, None]) - ratio
+        return values, grads
 
 
 def _channel_starts(k: int, u_size: int, count: int):
@@ -416,38 +424,60 @@ def _channel_starts(k: int, u_size: int, count: int):
 
 def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int,
                     max_iter: int, grad_tol: float):
-    """Multistart entropic mirror ascent; returns (best value, best kernel)."""
-    k = work.measure.shape[0]
-    best_val, best_kernel = -math.inf, None
-    for start in _channel_starts(k, u_size, multistarts):
-        kernel = start
-        value, grad = work.evaluate(kernel)
-        if value > best_val:
-            best_val, best_kernel = value, kernel.copy()
-        step = 1.0
-        stalled = 0
-        for _ in range(max_iter):
-            centered = grad - np.sum(kernel * grad, axis=1, keepdims=True)
-            if float(np.max(np.abs(kernel * centered))) < grad_tol:
-                break
-            trial_step = step
-            while True:
-                shifted = trial_step * (grad - np.max(grad, axis=1, keepdims=True))
-                trial = kernel * np.exp(shifted)
-                trial = np.clip(trial, 1e-290, None)
-                trial /= trial.sum(axis=1, keepdims=True)
-                trial_val, trial_grad = work.evaluate(trial)
-                if trial_val >= value - 1e-15 or trial_step < 1e-8:
-                    break
-                trial_step /= 2.0
-            stalled = stalled + 1 if abs(trial_val - value) < 1e-13 else 0
-            kernel, value, grad = trial, trial_val, trial_grad
-            step = min(trial_step * 1.5, 4.0)
-            if value > best_val:
-                best_val, best_kernel = value, kernel.copy()
-            if stalled >= 3:
-                break
-    return best_val, best_kernel
+    """Multistart entropic mirror ascent; returns (best value, best kernel).
+
+    The starts advance in lock-step, one batched evaluation per round.  In a
+    round each live start either begins its next iteration at its current
+    step or, inside its backtracking line search, retries at half its last
+    trial step, so every start follows the trajectory it would follow alone.
+    Ties go to the first start that reaches the best value.
+    """
+    if u_size < 1:
+        raise DomainError("u_size must be at least 1")
+    if multistarts < 1:
+        raise DomainError(f"multistarts must be at least 1; got {multistarts!r}")
+    if not 0.0 < work.c < math.inf:
+        raise DomainError(f"c must be positive and finite; got {work.c!r}")
+    kernels = np.stack(_channel_starts(work.measure.shape[0], u_size, multistarts))
+    values, grads = work.evaluate(kernels)
+    best_vals, best_kernels = values.copy(), kernels.copy()
+    count = len(kernels)
+    step, trial_step = np.ones(count), np.ones(count)
+    stalled, iters = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    live, searching = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
+    while True:
+        # live starts outside a line search begin their next iteration
+        begin = np.flatnonzero(live & ~searching)
+        kern, grad = kernels[begin], grads[begin]
+        centered = grad - np.sum(kern * grad, axis=2, keepdims=True)
+        done = (iters[begin] >= max_iter) | (
+            np.max(np.abs(kern * centered), axis=(1, 2)) < grad_tol
+        )
+        live[begin[done]] = False
+        begin = begin[~done]
+        trial_step[begin] = step[begin]
+        searching[begin] = True
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        grad = grads[idx]
+        shifted = trial_step[idx][:, None, None] * (grad - np.max(grad, axis=2, keepdims=True))
+        trials = np.clip(kernels[idx] * np.exp(shifted), 1e-290, None)
+        trials /= trials.sum(axis=2, keepdims=True)
+        trial_vals, trial_grads = work.evaluate(trials)
+        accept = (trial_vals >= values[idx] - 1e-15) | (trial_step[idx] < 1e-8)
+        trial_step[idx[~accept]] /= 2.0
+        acc, moved = idx[accept], trial_vals[accept]
+        stalled[acc] = np.where(np.abs(moved - values[acc]) < 1e-13, stalled[acc] + 1, 0)
+        kernels[acc], values[acc], grads[acc] = trials[accept], moved, trial_grads[accept]
+        step[acc] = np.minimum(trial_step[acc] * 1.5, 4.0)
+        better = acc[values[acc] > best_vals[acc]]
+        best_vals[better], best_kernels[better] = values[better], kernels[better]
+        iters[acc] += 1
+        searching[acc] = False
+        live[acc[stalled[acc] >= 3]] = False
+    best = int(np.argmax(best_vals))
+    return float(best_vals[best]), best_kernels[best]
 
 
 def _posterior_package(measure, states, kernel, u_labels, in_labels):
@@ -484,10 +514,6 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     messages.  When nu equals the average output state the value also equals
     c I(U;Y) - I(U;X); both forms are evaluated and must agree within 1e-9.
     """
-    if u_size < 1:
-        raise DomainError("u_size must be at least 1")
-    if c <= 0.0:
-        raise DomainError(f"c must be positive; got {c!r}")
     q = _validate_distribution(q, states)
     states = tuple(states)
     work = _ChannelWork(q, q, states, nu, c)
@@ -496,9 +522,9 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     u_labels = [f"u{j}" for j in range(u_size)]
     best = _posterior_package(q, states, kernel, u_labels, in_labels)
     nu_arr = nu.entries if hasattr(nu, "entries") else np.asarray(nu)
-    rho_avg = np.einsum("x,xjk->jk", q, _stack(states))
+    rho_avg = np.einsum("x,xjk->jk", q, work.stack)
     if np.max(np.abs(nu_arr - rho_avg)) <= 1e-12:
-        i_uy, i_ux = _mutual_informations(q, states, kernel)
+        i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
         alt = c * i_uy - i_ux
         if abs(alt - value) > 1e-9:
             raise ValidationError(
@@ -508,30 +534,23 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     return DeltaStarResult(value, best)
 
 
-def _mutual_informations(q, states, kernel):
-    """(I(U;Y), I(U;X)) for the classical-quantum chain q -> kernel -> states."""
-    stack = _stack(states)
+def chain_informations(q, stack, rho_avg, kernel):
+    """(I(U;Y), I(U;X)) for the classical-quantum chain U <- X -> Y, with X ~ q,
+    U drawn through ``kernel`` and Y through the states ``stack`` averaging
+    to ``rho_avg``."""
     joint = np.asarray(q)[:, None] * kernel
     p_u = joint.sum(axis=0)
-    rho_avg = np.einsum("x,xjk->jk", np.asarray(q), stack)
-
-    def _entropy(mat):
-        w = np.linalg.eigvalsh(mat)
-        w = w[w > SUPPORT_TOL]
-        return float(-np.sum(w * np.log(w)))
-
-    s_avg = _entropy(rho_avg)
     s_cond = 0.0
     i_ux = 0.0
     for u in range(kernel.shape[1]):
         if p_u[u] <= _ROW_MASS_TOL:
             continue
         sigma_u = np.einsum("x,xjk->jk", joint[:, u] / p_u[u], stack)
-        s_cond += p_u[u] * _entropy(sigma_u)
+        s_cond += p_u[u] * la.entropy_psd(sigma_u)
         for x in range(joint.shape[0]):
             if joint[x, u] > 0.0:
                 i_ux += joint[x, u] * math.log(joint[x, u] / (q[x] * p_u[u]))
-    return s_avg - s_cond, i_ux
+    return la.entropy_psd(rho_avg) - s_cond, float(i_ux)
 
 
 def phi(p_tilde, q, states, rho_y, c: float, u_size: int, multistarts: int = 64,

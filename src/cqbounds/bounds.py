@@ -17,7 +17,7 @@ import threading
 import numpy as np
 
 from . import _linalg as la
-from .bottleneck import DeltaInstance, delta, delta_star
+from .bottleneck import DeltaInstance, chain_informations, delta, delta_star
 from .config import ENCODER_ENUM_CAP, parallel_map
 from .entropy import relative_entropy
 from .errors import (
@@ -48,22 +48,16 @@ def source_entropy(src: CQSource) -> float:
     return float(-np.sum(src.q_x * np.log(src.q_x)))
 
 
-def _entropy_psd(mat: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(mat)
-    w = w[w > 1e-12]
-    return float(-np.sum(w * np.log(w)))
-
-
 def source_mutual_information(src: CQSource) -> float:
     """I(X;Y) = S(avg) - sum_x Q(x) S(rho_x), in nats."""
-    s_avg = _entropy_psd(src.rho_y.entries)
-    s_cond = sum(q * _entropy_psd(s.entries) for q, s in zip(src.q_x, src.states))
+    s_avg = la.entropy_psd(src.rho_y.entries)
+    s_cond = sum(q * la.entropy_psd(s.entries) for q, s in zip(src.q_x, src.states))
     return s_avg - s_cond
 
 
 def source_conditional_output_entropy(src: CQSource) -> float:
     """H(Y|X) = sum_x Q(x) S(rho_x), in nats."""
-    return float(sum(q * _entropy_psd(s.entries) for q, s in zip(src.q_x, src.states)))
+    return float(sum(q * la.entropy_psd(s.entries) for q, s in zip(src.q_x, src.states)))
 
 
 def k_epsilon(eta: float, gamma: float, x_size: int, eps: float) -> float:
@@ -160,21 +154,8 @@ def stein_independence_objective(src: CQSource, chan: StochasticChannel):
     """
     if chan.in_alphabet != src.alphabet:
         raise DimensionMismatchError("channel input alphabet does not match the source")
-    joint = src.q_x[:, None] * chan.kernel  # (x, u)
-    p_u = joint.sum(axis=0)
     stack = np.stack([s.entries for s in src.states])
-    s_avg = _entropy_psd(src.rho_y.entries)
-    s_cond = 0.0
-    i_ux = 0.0
-    for u in range(joint.shape[1]):
-        if p_u[u] <= 1e-14:
-            continue
-        sigma_u = np.einsum("x,xjk->jk", joint[:, u] / p_u[u], stack)
-        s_cond += p_u[u] * _entropy_psd(sigma_u)
-        for x in range(joint.shape[0]):
-            if joint[x, u] > 0.0:
-                i_ux += joint[x, u] * math.log(joint[x, u] / (src.q_x[x] * p_u[u]))
-    return s_avg - s_cond, float(i_ux)
+    return chain_informations(src.q_x, stack, src.rho_y.entries, chan.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +222,8 @@ def bottleneck_sup_constrained(src: CQSource, r: float, u_size: int | None = Non
     identity map attains it) whenever r >= H(X).  Returns
     (value, lagrangian curve); the curve ends with the (inf, I(X;Y)) entry.
     """
-    if r < 0.0:
-        raise DomainError(f"rate must be nonnegative; got {r!r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"rate must be finite and nonnegative; got {r!r}")
     u = u_size if u_size is not None else src.size + 1
 
     def lagrangian(c):
@@ -425,10 +406,10 @@ def source_coding_first_order(src: CQSource, log_w1: float,
     At log_w1 >= H(X) the chain U = X is feasible and optimal, giving H(Y|X)
     exactly; at log_w1 = 0 the value is S(avg).
     """
-    if log_w1 < 0.0:
-        raise DomainError(f"log_w1 must be nonnegative; got {log_w1!r}")
+    if not 0.0 <= log_w1 < math.inf:
+        raise DomainError(f"log_w1 must be finite and nonnegative; got {log_w1!r}")
     u = u_size if u_size is not None else src.size + 1
-    s_avg = _entropy_psd(src.rho_y.entries)
+    s_avg = la.entropy_psd(src.rho_y.entries)
 
     def dual(c):
         return s_avg - (_delta_star_value(src, c, u, multistarts) + log_w1) / c
@@ -470,5 +451,5 @@ def fq_point(src: CQSource, chan: StochasticChannel, r_budget: float):
     """Point evaluation of the purified-side objective 2 H(Y) - I(U;Y) with a
     feasibility flag I(U;X') <= r_budget; no optimization over channels."""
     i_uy, i_ux = stein_independence_objective(src, chan)
-    s_y = _entropy_psd(src.rho_y.entries)
+    s_y = la.entropy_psd(src.rho_y.entries)
     return (i_ux <= r_budget), 2.0 * s_y - i_uy

@@ -375,7 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None)
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--instances", type=int, default=None)
+    p.add_argument("--instances", type=int, default=None,
+                   help="instances per suite; the fixed-size suites np-trend, "
+                   "single-letter, soundness and sandwich ignore it")
 
     p = sub.add_parser("sweep", help="sweep one parameter of a bound")
     common(p)

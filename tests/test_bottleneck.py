@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from cqbounds import (
     typical_set,
 )
 from cqbounds._linalg import expm_herm, logm_psd
+from cqbounds.bottleneck import _ChannelWork
+from cqbounds.model_io import load_model
 
 LN2 = math.log(2.0)
 
@@ -289,3 +292,113 @@ def test_single_letter_gap_guards():
         single_letter_gap(q3, states3, states3[0], 1.5, 6, 0.9, 4)
     with pytest.raises(PreconditionError):
         single_letter_gap(np.array([0.5, 0.5]), states3[:2], states3[0], 1.5, 4, 0.9, 3)
+
+
+# delta_star and phi values recorded before the multistarts were batched;
+# every start must still follow its own trajectory.  Entries below 1e-13 are
+# rounding zeros (one message, or a uniform start, carries no information).
+_PINNED_DELTA_STAR = {
+    # (source, c, u_size, multistarts): (default max_iter, max_iter=3)
+    ("example", 1.0, 1, 1): (1.1102230246251565e-16, 1.1102230246251565e-16),
+    ("example", 1.0, 1, 16): (1.1102230246251565e-16, 1.1102230246251565e-16),
+    ("example", 1.0, 3, 1): (0.0, 0.0),
+    ("example", 1.0, 3, 16): (0.0, 0.0),
+    ("example", 2.5, 1, 1): (2.7755575615628914e-16, 2.7755575615628914e-16),
+    ("example", 2.5, 1, 16): (2.7755575615628914e-16, 2.7755575615628914e-16),
+    ("example", 2.5, 3, 1): (0.0, 0.0),
+    ("example", 2.5, 3, 16): (0.0, 0.0),
+    ("example", 16.0, 1, 1): (1.7763568394002505e-15, 1.7763568394002505e-15),
+    ("example", 16.0, 1, 16): (1.7763568394002505e-15, 1.7763568394002505e-15),
+    ("example", 16.0, 3, 1): (0.0, 0.0),
+    ("example", 16.0, 3, 16): (2.5943249635765597, 2.5943249635622223),
+    ("2x3", 1.0, 1, 1): (1.1102230246251565e-16, 1.1102230246251565e-16),
+    ("2x3", 1.0, 1, 16): (1.4988010832439612e-16, 1.4988010832439612e-16),
+    ("2x3", 1.0, 3, 1): (1.1102230246251565e-16, 1.1102230246251565e-16),
+    ("2x3", 1.0, 3, 16): (1.1102230246251565e-16, 1.1102230246251565e-16),
+    ("2x3", 2.5, 1, 1): (2.7755575615628914e-16, 2.7755575615628914e-16),
+    ("2x3", 2.5, 1, 16): (3.164135620181696e-16, 3.164135620181696e-16),
+    ("2x3", 2.5, 3, 1): (2.7755575615628914e-16, 2.7755575615628914e-16),
+    ("2x3", 2.5, 3, 16): (0.4573593313596577, 0.4573592003772898),
+    ("2x3", 16.0, 1, 1): (1.7763568394002505e-15, 1.7763568394002505e-15),
+    ("2x3", 16.0, 1, 16): (1.815214645262131e-15, 1.815214645262131e-15),
+    ("2x3", 16.0, 3, 1): (1.7763568394002505e-15, 1.7763568394002505e-15),
+    ("2x3", 16.0, 3, 16): (6.41434249144526, 6.41434249144526),
+}
+
+_PINNED_PHI = {  # phi at p_tilde = (0.42, 0.58), u_size 3, 16 starts
+    ("example", 2.5): -0.0008769848939506884,
+    ("example", 16.0): 2.677311817149127,
+    ("2x3", 2.5): 0.49571441483684503,
+    ("2x3", 16.0): 6.8937916353268935,
+}
+
+
+def _givens(i, j, t):
+    g = np.eye(3)
+    g[i, i] = g[j, j] = math.cos(t)
+    g[i, j], g[j, i] = -math.sin(t), math.sin(t)
+    return g
+
+
+def _pinned_source(name):
+    """(q, states, average output) of the example model or a 2x3 source."""
+    if name == "example":
+        src, _ = load_model(Path(__file__).resolve().parents[1] / "model.example.json")
+        return src.q_x, src.states, src.rho_y
+    rot = _givens(0, 1, 0.4) @ _givens(1, 2, 0.7)
+    q = np.array([0.35, 0.65])
+    states = [DensityMatrix(rot @ np.diag(w) @ rot.T)
+              for w in ([0.9, 0.07, 0.03], [0.04, 0.16, 0.8])]
+    avg = DensityMatrix(q[0] * states[0].entries + q[1] * states[1].entries)
+    return q, states, avg
+
+
+def _agrees(got, want):
+    return abs(got - want) <= 1e-12 * abs(want) + 1e-13
+
+
+@pytest.mark.parametrize("name", ["example", "2x3"])
+def test_delta_star_matches_pinned_values(name):
+    q, states, avg = _pinned_source(name)
+    for (src, c, u_size, starts), wants in _PINNED_DELTA_STAR.items():
+        if src != name:
+            continue
+        # max_iter=3 stops some starts on the iteration cap while others are
+        # still inside their line search
+        for max_iter, want in zip((2000, 3), wants):
+            got = delta_star(q, states, avg, c, u_size, multistarts=starts,
+                             max_iter=max_iter).value
+            assert _agrees(got, want), (c, u_size, starts, max_iter, got, want)
+    p_tilde = np.array([0.42, 0.58])
+    for c in (2.5, 16.0):
+        got = phi(p_tilde, q, states, avg, c, 3, multistarts=16)
+        assert _agrees(got, _PINNED_PHI[name, c]), (c, got)
+
+
+def test_channel_functionals_reject_bad_arguments():
+    q, states, avg = _pinned_source("example")
+    for bad_c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            delta_star(q, states, avg, bad_c, 3)
+        with pytest.raises(DomainError):
+            phi(q, q, states, avg, bad_c, 3)
+    with pytest.raises(DomainError):
+        delta_star(q, states, avg, 1.5, 0)
+    for starts in (0, -2):
+        with pytest.raises(DomainError):
+            delta_star(q, states, avg, 1.5, 3, multistarts=starts)
+        with pytest.raises(DomainError):
+            phi(q, q, states, avg, 1.5, 3, multistarts=starts)
+
+
+def test_batched_channel_evaluation_matches_one_kernel_at_a_time():
+    q, states, avg = _pinned_source("2x3")
+    work = _ChannelWork(q, q, states, avg, 2.5)
+    kernels = np.random.default_rng(3).dirichlet(np.full(4, 0.4), size=(9, 2))
+    kernels[[2, 5], :, 1] = 0.0  # a message no input uses
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    values, grads = work.evaluate(kernels)
+    for s in range(len(kernels)):
+        value, grad = work.evaluate(kernels[s:s + 1])
+        assert value[0] == values[s]
+        assert np.array_equal(grad[0], grads[s])

@@ -161,3 +161,17 @@ def test_cli_seeded_rerun_is_identical(model_path, tmp_path):
     assert main(argv) == 0
     second = _read(out), _read(str(tmp_path / "d.entropy-dp.csv"))
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta-star", "--c", "nan"],
+    ["delta-star", "--c", "inf"],
+    ["sc-bound", "--r", "nan", "--eps", "0.5", "--n", "100"],
+    ["sc-bound", "--r", "inf", "--eps", "0.5", "--n", "100"],
+    ["source-bound", "--log-w1", "nan", "--eps", "0.5", "--n", "200"],
+    ["source-bound", "--log-w1", "inf", "--eps", "0.5", "--n", "200"],
+])
+def test_cli_rejects_non_finite_weights_and_rates(model_path, tmp_path, argv):
+    out = tmp_path / "r.txt"
+    assert main(argv + ["--model", model_path, "--out", str(out)]) == 2
+    assert not out.exists()  # no report, so no row reads nan
