@@ -7,7 +7,7 @@ Everything computes in nats; ``EntropyValue`` carries a derived bits view.
 import os as _os
 
 # small dense problems: keep BLAS single-threaded so results do not depend on
-# the ambient thread configuration (our own sweeps parallelize above BLAS)
+# the ambient thread configuration
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 

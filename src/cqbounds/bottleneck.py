@@ -73,8 +73,8 @@ class DeltaInstance:
             raise ValidationError("mu must be entrywise nonnegative")
         if float(mu.sum()) > 1.0 + 1e-9:
             raise ValidationError(f"mu has total mass {float(mu.sum())!r} > 1")
-        if self.c <= 0.0:
-            raise ValidationError(f"c must be positive; got {self.c!r}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValidationError(f"c must be positive and finite; got {self.c!r}")
         nu_arr = self.nu.entries if hasattr(self.nu, "entries") else np.asarray(self.nu)
         if float(np.min(np.linalg.eigvalsh(nu_arr))) < 1e-10:
             raise ValidationError("nu must be full rank (min eigenvalue >= 1e-10)")

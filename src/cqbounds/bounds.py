@@ -18,15 +18,13 @@ import numpy as np
 
 from . import _linalg as la
 from .bottleneck import DeltaInstance, chain_informations, delta, delta_star
-from .config import ENCODER_ENUM_CAP, parallel_map
 from .entropy import relative_entropy
 from .errors import (
     DimensionMismatchError,
     DomainError,
     PreconditionError,
-    ResourceCapError,
 )
-from .hyptest import CQSource, StochasticChannel, message_count
+from .hyptest import CQSource, StochasticChannel, encoder_count
 from .operators import DensityMatrix, HermitianOperator, tensor_all
 from .reports import BoundReport
 from .semigroup import InequalityMargin, psi_map_sites
@@ -114,12 +112,7 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
     src1_states = tuple(src1_states)
     if len(src1_states) != src0.size:
         raise DimensionMismatchError("alternative family must match the alphabet")
-    w_size = message_count(n, r1)
-    num_encoders = w_size ** (src0.size ** n)
-    if num_encoders > ENCODER_ENUM_CAP:
-        raise ResourceCapError(
-            f"{num_encoders} encoders exceed the enumeration cap {ENCODER_ENUM_CAP}"
-        )
+    w_size, _ = encoder_count(n, r1, src0.size ** n)
     _, weights, null_mats = _sequence_weights_states(src0, src0.states, n)
     _, _, alt_mats = _sequence_weights_states(src0, src1_states, n)
     seq_count = len(weights)
@@ -142,7 +135,7 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
         return total / n
 
     assignments = list(itertools.product(range(w_size), repeat=seq_count))
-    values = parallel_map(encoded_divergence, assignments)
+    values = [encoded_divergence(a) for a in assignments]
     return float(max(values))
 
 

@@ -6,8 +6,10 @@ rows plus CSV margin tables for suites and sweeps.
 
 Exit codes: 0 success, 2 validation or domain error, 3 precondition
 (threshold) error, 4 resource-cap error.  All randomized commands require an
-explicit ``--seed`` and are bit-reproducible given it; the worker-thread
-count (environment variable ``CQBOUNDS_THREADS``) never changes any output.
+explicit ``--seed`` and are bit-reproducible given it.  Suites run
+single-threaded, their instances evaluated as stacked arrays; the
+environment variable ``CQBOUNDS_THREADS`` is still accepted but changes no
+output and no work.
 """
 
 from __future__ import annotations
@@ -74,12 +76,20 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_out(path, newline="\n") as fh:
             fh.write(self.render())
 
 
+def _open_out(path: str, newline: str):
+    """Open an output file for writing; an unwritable path is a validation error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, columns, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -422,6 +432,7 @@ def main(argv=None) -> int:
             _cmd_verify(args, report, out_base)
         elif args.command == "sweep":
             _cmd_sweep(args, report, out_base)
+        report.write(args.out)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -434,7 +445,6 @@ def main(argv=None) -> int:
     except CQBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.write(args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Numerical tolerances, caps, and thread configuration.
+"""Numerical tolerances, caps, and the thread-count setting.
 
 All logarithms in this package are natural; entropic values are computed in
 nats and converted to bits only at display boundaries.
@@ -30,12 +30,16 @@ TYPICAL_ENUM_CAP = 1_000_000
 #: probability mass below which an encoded block is dropped
 BLOCK_MASS_TOL = 1e-14
 
-#: environment variable controlling the worker-thread count
+#: environment variable naming a worker-thread count (accepted, changes nothing)
 THREADS_ENV_VAR = "CQBOUNDS_THREADS"
 
 
 def thread_count() -> int:
-    """Worker threads for instance sweeps; defaults to all cores."""
+    """The worker-thread setting from ``CQBOUNDS_THREADS`` (default: all cores).
+
+    Suites run single-threaded as stacked arrays, so the setting is accepted
+    but changes no output and no work.
+    """
     raw = os.environ.get(THREADS_ENV_VAR, "")
     if raw.strip():
         try:
@@ -44,19 +48,3 @@ def thread_count() -> int:
             n = 1
         return max(1, n)
     return max(1, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Map ``fn`` over ``items``, returning results in index order.
-
-    Runs on a thread pool of ``thread_count()`` workers; the reduction is
-    ordered, so results never depend on the degree of parallelism.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))

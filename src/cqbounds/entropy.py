@@ -50,51 +50,68 @@ def von_neumann_entropy(rho: DensityMatrix) -> EntropyValue:
     return EntropyValue(max(0.0, float(-np.sum(w * np.log(w)))))
 
 
-def _support_violated(rho_arr: np.ndarray, sigma_arr: np.ndarray) -> bool:
-    """True when some eigenvector of rho with weight > tol leaks into ker sigma."""
-    ker = la.kernel_projector(sigma_arr, SUPPORT_TOL)
-    if not np.any(np.abs(ker) > 0):
-        return False
-    w, v = np.linalg.eigh(rho_arr)
-    for j in range(w.shape[0]):
-        if w[j] > SUPPORT_TOL:
-            vec = v[:, j]
-            overlap = float(np.real(vec.conj() @ ker @ vec))
-            if overlap > KERNEL_OVERLAP_TOL:
-                return True
-    return False
+def _support_violated(rho_arr: np.ndarray, sigma_arr: np.ndarray) -> np.ndarray:
+    """Per member of a stack: True when some eigenvector of rho with weight
+    > tol leaks into ker sigma."""
+    # eigh, not eigvalsh: the eigenvalues the kernel projector cuts at
+    w_s = np.linalg.eigh(sigma_arr)[0]
+    flagged = np.zeros(w_s.shape[:-1], dtype=bool)
+    has_kernel = w_s[..., 0] <= SUPPORT_TOL
+    if la.first_member(has_kernel) is None:
+        return flagged
+    for idx in map(tuple, np.argwhere(has_kernel)):
+        ker = la.kernel_projector(sigma_arr[idx], SUPPORT_TOL)
+        w, v = np.linalg.eigh(rho_arr[idx])
+        for j in range(w.shape[0]):
+            if w[j] > SUPPORT_TOL:
+                vec = v[:, j]
+                overlap = float(np.real(vec.conj() @ ker @ vec))
+                if overlap > KERNEL_OVERLAP_TOL:
+                    flagged[idx] = True
+                    break
+    return flagged
+
+
+def _pair(rho, sigma):
+    r = _arr(rho)
+    s = _arr(sigma)
+    if r.shape != s.shape:
+        raise DimensionMismatchError(f"operand dims {r.shape[-1]} vs {s.shape[-1]}")
+    return r, s
 
 
 def relative_entropy(rho: DensityMatrix, sigma) -> EntropyValue:
-    """Umegaki relative entropy tr[rho(ln rho - ln sigma)]; +inf off-support."""
-    r = _arr(rho)
-    s = _arr(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"operand dims {r.shape[0]} vs {s.shape[0]}")
-    if _support_violated(r, s):
-        return EntropyValue(math.inf)
+    """Umegaki relative entropy tr[rho(ln rho - ln sigma)]; +inf off-support.
+
+    Also takes stacks (..., d, d) of arrays, giving an array of values in
+    ``nats``.
+    """
+    r, s = _pair(rho, sigma)
+    off_support = _support_violated(r, s)
     w = np.linalg.eigvalsh(r)
-    w = w[w > SUPPORT_TOL]
-    tr_rho_log_rho = float(np.sum(w * np.log(w)))
+    keep = w > SUPPORT_TOL
+    tr_rho_log_rho = la.row_sums(w * np.log(np.maximum(w, SUPPORT_TOL)), keep)
+    # off-support members are +inf whatever sigma is; give them Id as sigma
+    # so that a null sigma cannot make the logarithm raise
+    if off_support.any():
+        s = np.where(off_support[..., None, None], np.eye(s.shape[-1]), s)
     log_s = la.logm_psd(s, restricted=True)
-    tr_rho_log_sigma = la.inner_real(r, log_s)
-    return EntropyValue(tr_rho_log_rho - tr_rho_log_sigma)
+    nats = np.where(off_support, math.inf, tr_rho_log_rho - la.inner_real(r, log_s))
+    return EntropyValue(la.scalar_or_array(nats))
 
 
 def renyi_relative_entropy(rho: DensityMatrix, sigma, alpha: float) -> EntropyValue:
-    """Relative Renyi entropy (1/(alpha-1)) ln tr(rho^alpha sigma^(1-alpha))."""
+    """Relative Renyi entropy (1/(alpha-1)) ln tr(rho^alpha sigma^(1-alpha)).
+
+    Also takes stacks (..., d, d) of arrays, giving an array of values in
+    ``nats``.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1); got {alpha!r}")
-    r = _arr(rho)
-    s = _arr(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"operand dims {r.shape[0]} vs {s.shape[0]}")
-    ra = la.powm_psd(r, alpha)
-    sa = la.powm_psd(s, 1.0 - alpha)
-    q = la.inner_real(ra, sa)
-    if q <= 0.0:
-        return EntropyValue(math.inf)
-    return EntropyValue(math.log(q) / (alpha - 1.0))
+    r, s = _pair(rho, sigma)
+    q = la.inner_real(la.powm_psd(r, alpha), la.powm_psd(s, 1.0 - alpha))
+    return EntropyValue(la.per_member(
+        lambda x: math.inf if x <= 0.0 else math.log(x) / (alpha - 1.0), q))
 
 
 def renyi_complement(a, b, p: float) -> float:
@@ -185,23 +202,25 @@ def relative_entropy_variational_value(rho: DensityMatrix, sigma, g) -> EntropyV
     """tr[rho ln G] - ln tr[e^(ln sigma + ln G)], a lower form of D(rho||sigma).
 
     Never exceeds the relative entropy; equality holds at
-    G = e^(ln rho - ln sigma) for full-rank inputs.
+    G = e^(ln rho - ln sigma) for full-rank inputs.  Also takes stacks
+    (..., d, d) of arrays, giving an array of values in ``nats``.
     """
     g_arr = _arr(g)
-    if np.min(np.linalg.eigvalsh(g_arr)) <= SUPPORT_TOL:
+    if np.any(np.linalg.eigvalsh(g_arr)[..., 0] <= SUPPORT_TOL):
         raise DomainError("G must be positive definite")
     s_arr = _arr(sigma)
     first = la.inner_real(_arr(rho), la.logm_psd(g_arr))
     w_s, v_s = np.linalg.eigh(s_arr)
     supp = w_s > SUPPORT_TOL
-    if np.all(supp):
-        mix = la.logm_psd(s_arr) + la.logm_psd(g_arr)
-        second = math.log(la.trace_real(la.expm_herm(mix)))
-    else:
+    full = np.all(supp, axis=-1)
+    trace_exp = np.empty(full.shape)
+    mix = la.logm_psd(s_arr[full]) + la.logm_psd(g_arr[full])
+    trace_exp[full] = la.trace_real(la.expm_herm(mix))
+    for idx in map(tuple, np.argwhere(~full)):
         # compress both arguments onto the support of sigma
-        basis = v_s[:, supp]
-        s_c = np.diag(np.log(w_s[supp]))
-        g_c = basis.conj().T @ g_arr @ basis
+        basis = v_s[idx][:, supp[idx]]
+        s_c = np.diag(np.log(w_s[idx][supp[idx]]))
+        g_c = basis.conj().T @ g_arr[idx] @ basis
         mix = s_c + la.logm_psd(la.hermitize(g_c, tol=1e-9))
-        second = math.log(la.trace_real(la.expm_herm(mix)))
-    return EntropyValue(first - second)
+        trace_exp[idx] = la.trace_real(la.expm_herm(mix))
+    return EntropyValue(la.per_member(lambda f, t: f - math.log(t), first, trace_exp))

@@ -21,7 +21,6 @@ from .config import (
     ENCODER_ENUM_CAP,
     MAX_TOTAL_DIM,
     SUPPORT_TOL,
-    parallel_map,
 )
 from .errors import (
     DimensionMismatchError,
@@ -398,6 +397,30 @@ def message_count(n: int, r1: float) -> int:
     return max(1, int(math.floor(math.exp(n * r1) + 1e-9)))
 
 
+def encoder_count(n: int, r1: float, seq_count: int):
+    """(|W|, |W|^seq_count): the message-set size at rate ``r1`` and the
+    number of deterministic encoders of ``seq_count`` sequences into it.
+
+    Raises a resource-cap error when the encoders exceed the enumeration cap.
+    """
+    if not math.isfinite(r1):
+        raise DomainError(f"rate must be finite; got {r1!r}")
+    if n * r1 > math.log(2.0 * ENCODER_ENUM_CAP):
+        # |W| > e^(n r1) - 1 is then above the cap, and e^(n r1) may not fit
+        # in a float
+        raise ResourceCapError(
+            f"about e^{n * r1 * seq_count:.6g} encoders exceed the enumeration cap "
+            f"{ENCODER_ENUM_CAP}"
+        )
+    w_size = message_count(n, r1)
+    num_encoders = w_size ** seq_count
+    if num_encoders > ENCODER_ENUM_CAP:
+        raise ResourceCapError(
+            f"{num_encoders} encoders exceed the enumeration cap {ENCODER_ENUM_CAP}"
+        )
+    return w_size, num_encoders
+
+
 def _beta_for_assignment(assignment, src_n, rho1_entries, eps):
     """Blockwise optimal type-II error of one deterministic encoder."""
     groups = {}
@@ -431,18 +454,11 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     if r1 <= 0.0:
         raise DomainError(f"r1 must be positive; got {r1!r}")
     src_n = product_source(src, n)
-    w_size = message_count(n, r1)
-    num_encoders = w_size ** src_n.size
-    if num_encoders > ENCODER_ENUM_CAP:
-        raise ResourceCapError(
-            f"{num_encoders} encoders exceed the enumeration cap {ENCODER_ENUM_CAP}"
-        )
+    w_size, num_encoders = encoder_count(n, r1, src_n.size)
     rho1_entries = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
     assignments = list(itertools.product(range(w_size), repeat=src_n.size))
 
-    betas = parallel_map(
-        lambda a: _beta_for_assignment(a, src_n, rho1_entries, eps), assignments
-    )
+    betas = [_beta_for_assignment(a, src_n, rho1_entries, eps) for a in assignments]
     best_idx = min(range(len(betas)), key=lambda i: (betas[i], i))
     best_beta = betas[best_idx]
     best_assignment = assignments[best_idx]

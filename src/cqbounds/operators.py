@@ -13,6 +13,51 @@ from .config import EIG_CLIP_TOL, HERMITIAN_TOL, MAX_TOTAL_DIM, SUPPORT_TOL
 from .errors import DomainError, ResourceCapError, ValidationError
 
 
+def _check_dim(dim: int):
+    if dim > MAX_TOTAL_DIM:
+        raise ResourceCapError(
+            f"dimension {dim} exceeds the configured cap {MAX_TOTAL_DIM}"
+        )
+
+
+def _density_checks(arr: np.ndarray):
+    """Trace and spectrum checks of Hermitian matrices (..., d, d).
+
+    Each check rejects its first failing member.  Returns the entries, with
+    eigenvalues in [-1e-10, 0) clipped to 0 (a new array only if some member
+    was clipped), and each member's smallest eigenvalue after clipping.
+    """
+    tr = np.trace(arr, axis1=-2, axis2=-1).real
+    i = la.first_member(np.abs(tr - 1.0) > 1e-10)
+    if i is not None:
+        raise ValidationError(f"trace {float(tr.flat[i])!r} differs from 1 by more than 1e-10")
+    w, v = np.linalg.eigh(arr)
+    w_min = w[..., 0]
+    i = la.first_member(w_min < -EIG_CLIP_TOL)
+    if i is not None:
+        raise ValidationError(
+            f"smallest eigenvalue {w_min.flat[i]:.3e} below the -1e-10 clip tolerance"
+        )
+    clip = w_min < 0.0
+    if la.first_member(clip) is not None:
+        arr = arr.copy()
+        arr[clip] = la.hermitize(la.from_spectrum(np.maximum(w[clip], 0.0), v[clip]))
+        w_min = np.where(clip, 0.0, w_min)
+    return arr, w_min
+
+
+def density_stack(entries) -> np.ndarray:
+    """Validate a stack (..., d, d) of density matrices member by member.
+
+    Applies every check of :class:`DensityMatrix` to each member (Hermiticity
+    within 1e-10, the dimension cap, unit trace within 1e-10, eigenvalues
+    clipped from [-1e-10, 0)) and returns the symmetrized, clipped stack.
+    """
+    arr = la.hermitize(entries, HERMITIAN_TOL)
+    _check_dim(arr.shape[-1])
+    return _density_checks(arr)[0]
+
+
 class HermitianOperator:
     """A dense complex Hermitian matrix with subsystem-dimension metadata.
 
@@ -23,12 +68,12 @@ class HermitianOperator:
     __slots__ = ("entries", "subsystem_dims")
 
     def __init__(self, entries, subsystem_dims=None):
-        arr = la.hermitize(entries, HERMITIAN_TOL)
+        arr = np.asarray(entries, dtype=complex)
+        if arr.ndim != 2:
+            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+        arr = la.hermitize(arr, HERMITIAN_TOL)
         dim = arr.shape[0]
-        if dim > MAX_TOTAL_DIM:
-            raise ResourceCapError(
-                f"dimension {dim} exceeds the configured cap {MAX_TOTAL_DIM}"
-            )
+        _check_dim(dim)
         if subsystem_dims is None:
             subsystem_dims = (dim,)
         subsystem_dims = tuple(int(d) for d in subsystem_dims)
@@ -67,22 +112,11 @@ class DensityMatrix:
             op = entries if subsystem_dims is None else entries.with_subsystems(subsystem_dims)
         else:
             op = HermitianOperator(entries, subsystem_dims)
-        tr = la.trace_real(op.entries)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"trace {tr!r} differs from 1 by more than 1e-10")
-        w, v = np.linalg.eigh(op.entries)
-        if w[0] < -EIG_CLIP_TOL:
-            raise ValidationError(
-                f"smallest eigenvalue {w[0]:.3e} below the -1e-10 clip tolerance"
-            )
-        if w[0] < 0.0:
-            w = np.maximum(w, 0.0)
-            op = HermitianOperator((v * w) @ v.conj().T, op.subsystem_dims)
-            w_min = 0.0
-        else:
-            w_min = float(w[0])
+        entries, w_min = _density_checks(op.entries)
+        if entries is not op.entries:
+            op = HermitianOperator(entries, op.subsystem_dims)
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "min_eig", w_min)
+        object.__setattr__(self, "min_eig", float(w_min))
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -187,65 +221,114 @@ def matrix_function(a, name: str, exponent: float | None = None,
     return HermitianOperator(out, dims)
 
 
-def random_density(dim: int, seed: int, min_eig_floor: float = 0.0) -> DensityMatrix:
-    """Seeded full-rank density matrix with smallest eigenvalue >= the floor."""
+def _ginibre(rng, dim: int) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _ginibre_stack(dim: int, seeds) -> np.ndarray:
+    """One complex Gaussian (dim, dim) matrix per seed, each from its own stream."""
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
+    for k, seed in enumerate(seeds):
+        g[k] = _ginibre(np.random.default_rng(seed), dim)
+    return g
+
+
+def _haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices (..., d, d) by QR."""
+    q, r = np.linalg.qr(g)
+    # fix the phase ambiguity of QR so the result is a deterministic Haar draw
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _density_entries(dim: int, seeds, min_eig_floor: float) -> np.ndarray:
+    """Unvalidated (N, dim, dim) draws of ``random_density``, one per seed."""
     if dim < 1:
         raise DomainError("dimension must be positive")
     if not 0.0 <= min_eig_floor < 1.0 / dim:
         raise DomainError(
             f"min_eig_floor must lie in [0, 1/dim={1.0 / dim!r}); got {min_eig_floor!r}"
         )
-    rng = np.random.default_rng(seed)
     if dim == 1:
-        return DensityMatrix(np.array([[1.0 + 0j]]))
-    probs = rng.dirichlet(np.ones(dim))
+        return np.ones((len(seeds), 1, 1), dtype=complex)
+    probs = np.empty((len(seeds), dim))
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        probs[k] = rng.dirichlet(np.ones(dim))
+        g[k] = _ginibre(rng, dim)
     lam = min_eig_floor + (1.0 - dim * min_eig_floor) * probs
-    u = _random_unitary(dim, rng)
-    return DensityMatrix((u * lam) @ u.conj().T)
+    return la.from_spectrum(lam, _haar_unitaries(g))
+
+
+def random_density(dim: int, seed: int, min_eig_floor: float = 0.0) -> DensityMatrix:
+    """Seeded full-rank density matrix with smallest eigenvalue >= the floor."""
+    return DensityMatrix(_density_entries(dim, [seed], min_eig_floor)[0])
+
+
+def random_density_stack(dim: int, seeds, min_eig_floor: float = 0.0) -> np.ndarray:
+    """``random_density(dim, s, min_eig_floor)`` for each seed, as a validated
+    (N, dim, dim) array."""
+    return density_stack(_density_entries(dim, seeds, min_eig_floor))
 
 
 def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> HermitianOperator:
     """Seeded GUE-style Hermitian matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = _ginibre(np.random.default_rng(seed), dim)
     return HermitianOperator(scale * (g + g.conj().T) / 2.0)
+
+
+def _psd_entries(dim: int, seeds, min_eig_floor: float, scale: float) -> np.ndarray:
+    """Unvalidated (N, dim, dim) draws of ``random_psd``, one per seed."""
+    g = _ginibre_stack(dim, seeds)
+    return scale * (g @ la.dagger(g)) / dim + min_eig_floor * np.eye(dim)
 
 
 def random_psd(dim: int, seed: int, min_eig_floor: float = 0.0, scale: float = 1.0) -> HermitianOperator:
     """Seeded PSD matrix W W^dagger / dim (+ floor), unnormalized."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    mat = scale * (g @ g.conj().T) / dim + min_eig_floor * np.eye(dim)
-    return HermitianOperator(mat)
+    return HermitianOperator(_psd_entries(dim, [seed], min_eig_floor, scale)[0])
 
 
-def _random_unitary(dim: int, rng) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    # fix the phase ambiguity of QR so the result is a deterministic Haar draw
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def random_psd_stack(dim: int, seeds, min_eig_floor: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    """``random_psd(dim, s, ...)`` entries for each seed, as a symmetrized
+    (N, dim, dim) array checked like a HermitianOperator."""
+    mat = la.hermitize(_psd_entries(dim, seeds, min_eig_floor, scale), HERMITIAN_TOL)
+    _check_dim(dim)
+    return mat
+
+
+def _isometry_stack(dim_in: int, dim_out: int, seeds) -> np.ndarray:
+    if dim_out < dim_in:
+        raise DomainError("an isometry needs dim_out >= dim_in")
+    return _haar_unitaries(_ginibre_stack(dim_out, seeds))[..., :dim_in]
 
 
 def random_isometry(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
     """Seeded isometry V with V^dagger V = Id on the input space."""
-    if dim_out < dim_in:
-        raise DomainError("an isometry needs dim_out >= dim_in")
-    rng = np.random.default_rng(seed)
-    return _random_unitary(dim_out, rng)[:, :dim_in]
+    return _isometry_stack(dim_in, dim_out, [seed])[0]
+
+
+def random_channel_kraus_stack(dim_in: int, dim_out: int, dim_env: int, seeds) -> np.ndarray:
+    """``random_channel_kraus`` for each seed, as an (N, dim_env, dim_out,
+    dim_in) array."""
+    v = _isometry_stack(dim_in, dim_out * dim_env, seeds)
+    return v.reshape(len(seeds), dim_env, dim_out, dim_in)
 
 
 def random_channel_kraus(dim_in: int, dim_out: int, dim_env: int, seed: int):
     """Kraus operators of a seeded channel: a random isometry into
     output x environment followed by tracing out the environment."""
-    v = random_isometry(dim_in, dim_out * dim_env, seed)
-    return [v[i * dim_out : (i + 1) * dim_out, :] for i in range(dim_env)]
+    return list(random_channel_kraus_stack(dim_in, dim_out, dim_env, [seed])[0])
 
 
 def apply_kraus(rho, kraus) -> np.ndarray:
-    """sum_i K_i rho K_i^dagger on raw arrays."""
+    """sum_i K_i rho K_i^dagger on raw arrays.
+
+    ``rho`` may be a stack (..., d, d) with ``kraus`` of shape
+    (..., n_kraus, d_out, d).
+    """
     arr = _as_array(rho)
-    return sum(k @ arr @ k.conj().T for k in kraus)
+    return sum(k @ arr @ la.dagger(k) for k in np.moveaxis(np.asarray(kraus), -3, 0))
 
 
 def support_tolerance() -> float:

@@ -65,42 +65,56 @@ def _arr(a) -> np.ndarray:
 
 
 def weighted_lp_norm(x, p: float, sigma: DensityMatrix) -> float:
-    """Weighted L_p (pseudo-)norm of x with respect to a full-rank state."""
+    """Weighted L_p (pseudo-)norm of x with respect to a full-rank state.
+
+    Also takes stacks (..., d, d) of arrays with one ``p``, giving an array.
+    """
     if p == 0.0:
         raise DomainError("p = 0 is outside the norm family")
     x_arr = _arr(x)
     s_arr = _arr(sigma)
     if x_arr.shape != s_arr.shape:
-        raise DimensionMismatchError(f"operand dims {x_arr.shape[0]} vs {s_arr.shape[0]}")
-    w_min = float(np.min(np.linalg.eigvalsh(x_arr)))
+        raise DimensionMismatchError(f"operand dims {x_arr.shape[-1]} vs {s_arr.shape[-1]}")
+    w_min = np.linalg.eigvalsh(x_arr)[..., 0]
     if p < 0.0:
-        if w_min <= POSITIVITY_FLOOR:
+        i = la.first_member(w_min <= POSITIVITY_FLOOR)
+        if i is not None:
             raise DomainError(
-                f"negative-p norms need X > 0; smallest eigenvalue {w_min:.3e}"
+                f"negative-p norms need X > 0; smallest eigenvalue {w_min.flat[i]:.3e}"
             )
         weight = la.powm_psd(s_arr, -1.0 / (2.0 * p), restricted=False)
         core = weight @ la.powm_psd(x_arr, -1.0, restricted=False) @ weight
         vals = np.abs(np.linalg.eigvalsh(la.hermitize(core, tol=1e-8)))
-        return float(np.sum(vals ** (-p))) ** (1.0 / p)
-    if w_min < -1e-10:
-        raise DomainError(f"X must be PSD; smallest eigenvalue {w_min:.3e}")
-    weight = la.powm_psd(s_arr, 1.0 / (2.0 * p), restricted=False)
-    core = weight @ x_arr @ weight
-    vals = np.abs(np.linalg.eigvalsh(la.hermitize(core, tol=1e-8)))
-    vals = vals[vals > 0.0]
-    if vals.size == 0:
-        return 0.0
-    return float(np.sum(vals ** p)) ** (1.0 / p)
+        sums = la.row_sums(vals ** (-p))
+    else:
+        i = la.first_member(w_min < -1e-10)
+        if i is not None:
+            raise DomainError(f"X must be PSD; smallest eigenvalue {w_min.flat[i]:.3e}")
+        weight = la.powm_psd(s_arr, 1.0 / (2.0 * p), restricted=False)
+        core = weight @ x_arr @ weight
+        vals = np.abs(np.linalg.eigvalsh(la.hermitize(core, tol=1e-8)))
+        # zero eigenvalues drop out; a sum over none is 0, and 0 ** (1/p) = 0
+        keep = vals > 0.0
+        sums = la.row_sums(la.power_rows(vals, p, keep), keep)
+    return la.per_member(lambda total: total ** (1.0 / p), sums)
 
 
-def schatten_norm(x, p: float) -> float:
-    """Unweighted Schatten p-norm (p = inf gives the operator norm)."""
+def schatten_norm(x, p) -> float:
+    """Unweighted Schatten p-norm (p = inf gives the operator norm).
+
+    Also takes stacks (..., d, d) of arrays, with one ``p`` or one per
+    member, giving an array.
+    """
     vals = np.abs(np.linalg.eigvalsh(_arr(x)))
-    if math.isinf(p):
-        return float(np.max(vals)) if vals.size else 0.0
-    if p <= 0.0:
-        raise DomainError(f"Schatten norm needs p > 0; got {p!r}")
-    return float(np.sum(vals ** p)) ** (1.0 / p)
+    p = np.broadcast_to(np.asarray(p, dtype=float), vals.shape[:-1])
+    inf = np.isinf(p)
+    i = la.first_member(~inf & (p <= 0.0))
+    if i is not None:
+        raise DomainError(f"Schatten norm needs p > 0; got {float(p.flat[i])!r}")
+    top = np.max(vals, axis=-1, initial=0.0)
+    sums = la.row_sums(la.power_rows(vals, np.where(inf, 1.0, p)))
+    return la.per_member(
+        lambda q, peak, total: peak if math.isinf(q) else total ** (1.0 / q), p, top, sums)
 
 
 def depolarize_heisenberg(x, t: float, spec: SemigroupSpec) -> HermitianOperator:
@@ -220,16 +234,22 @@ def check_rhc(g_n, site_states, p: float, q: float, t: float) -> InequalityMargi
     return InequalityMargin(lhs, rhs, f"rhc p={p!r} q={q!r} t={t!r}")
 
 
-def check_alt(a, b, r: float) -> InequalityMargin:
-    """Margin of tr[(B^1/2 A B^1/2)^r] >= tr[B^r/2 A^r B^r/2] for r in [0,1]."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0,1]; got {r!r}")
+def check_alt(a, b, r) -> InequalityMargin:
+    """Margin of tr[(B^1/2 A B^1/2)^r] >= tr[B^r/2 A^r B^r/2] for r in [0,1].
+
+    Also takes stacks (..., d, d) of arrays, with one ``r`` or one per
+    member; the margin then holds arrays.
+    """
+    r_arr = np.asarray(r, dtype=float)
+    i = la.first_member(~((0.0 <= r_arr) & (r_arr <= 1.0)))
+    if i is not None:
+        raise DomainError(f"r must lie in [0,1]; got {float(r_arr.flat[i])!r}")
     a_arr, b_arr = _arr(a), _arr(b)
     b_half = la.sqrtm_psd(b_arr)
     inner = la.hermitize(b_half @ a_arr @ b_half, tol=1e-8)
-    lhs = la.trace_real(la.powm_psd(inner, r))
-    b_rhalf = la.powm_psd(b_arr, r / 2.0)
-    rhs = la.trace_real(la.hermitize(b_rhalf @ la.powm_psd(a_arr, r) @ b_rhalf, tol=1e-8))
+    lhs = la.trace_real(la.powm_psd(inner, r_arr))
+    b_rhalf = la.powm_psd(b_arr, r_arr / 2.0)
+    rhs = la.trace_real(la.hermitize(b_rhalf @ la.powm_psd(a_arr, r_arr) @ b_rhalf, tol=1e-8))
     return InequalityMargin(lhs, rhs, f"alt r={r!r}")
 
 
@@ -242,14 +262,19 @@ def holder_conjugate(p: float) -> float:
 
 
 def check_reverse_holder(a, b, p: float, sigma: DensityMatrix) -> InequalityMargin:
-    """Margin of <A,B>_sigma >= ||A||_{p,sigma} ||B||_{p^,sigma} for p < 1."""
+    """Margin of <A,B>_sigma >= ||A||_{p,sigma} ||B||_{p^,sigma} for p < 1.
+
+    Also takes stacks (..., d, d) of arrays with one ``p``; the margin then
+    holds arrays.
+    """
     if p == 0.0:
         raise DomainError("p = 0 is not admissible")
     if p >= 1.0:
         raise DomainError(f"reverse Hoelder needs p < 1; got {p!r}")
-    b_min = float(np.min(np.linalg.eigvalsh(_arr(b))))
-    if b_min <= POSITIVITY_FLOOR:
-        raise DomainError(f"B must be strictly positive; smallest eigenvalue {b_min:.3e}")
+    b_min = np.linalg.eigvalsh(_arr(b))[..., 0]
+    i = la.first_member(b_min <= POSITIVITY_FLOOR)
+    if i is not None:
+        raise DomainError(f"B must be strictly positive; smallest eigenvalue {b_min.flat[i]:.3e}")
     p_hat = holder_conjugate(p)
     s_half = la.sqrtm_psd(_arr(sigma))
     lhs = la.trace_real(s_half @ _arr(a) @ s_half @ _arr(b))
@@ -257,20 +282,25 @@ def check_reverse_holder(a, b, p: float, sigma: DensityMatrix) -> InequalityMarg
     return InequalityMargin(lhs, rhs, f"rholder p={p!r}")
 
 
-def check_reverse_alt(a, b, r: float, a_exp: float, b_exp: float) -> InequalityMargin:
+def check_reverse_alt(a, b, r, a_exp, b_exp) -> InequalityMargin:
     """Margin of the reversed trace inequality with Schatten-norm correction.
 
     lhs = (tr B^r/2 A^r B^r/2)^r ||A^(1-r)/2||_a^2r ||B^(1-r)/2||_b^2r and
     rhs = (tr B^1/2 A B^1/2)^r, for exponents with 1/(2r) = 1/2 + 1/a + 1/b.
+    Also takes stacks (..., d, d) of arrays, with ``r``, ``a_exp`` and
+    ``b_exp`` given once or per member; the margin then holds arrays.
     """
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"r must lie in (0,1]; got {r!r}")
-    inv_a = 0.0 if math.isinf(a_exp) else 1.0 / a_exp
-    inv_b = 0.0 if math.isinf(b_exp) else 1.0 / b_exp
-    if abs(1.0 / (2.0 * r) - 0.5 - inv_a - inv_b) > 1e-12:
+    r, a_exp, b_exp = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r, a_exp, b_exp)))
+    i = la.first_member(~((0.0 < r) & (r <= 1.0)))
+    if i is not None:
+        raise DomainError(f"r must lie in (0,1]; got {float(r.flat[i])!r}")
+    inv_a = np.where(np.isinf(a_exp), 0.0, 1.0 / a_exp)
+    inv_b = np.where(np.isinf(b_exp), 0.0, 1.0 / b_exp)
+    i = la.first_member(np.abs(1.0 / (2.0 * r) - 0.5 - inv_a - inv_b) > 1e-12)
+    if i is not None:
         raise PreconditionError(
             f"exponent relation 1/(2r) = 1/2 + 1/a + 1/b violated for "
-            f"r={r!r}, a={a_exp!r}, b={b_exp!r}"
+            f"r={float(r.flat[i])!r}, a={float(a_exp.flat[i])!r}, b={float(b_exp.flat[i])!r}"
         )
     a_arr, b_arr = _arr(a), _arr(b)
     b_rhalf = la.powm_psd(b_arr, r / 2.0)
@@ -278,8 +308,12 @@ def check_reverse_alt(a, b, r: float, a_exp: float, b_exp: float) -> InequalityM
     term = la.trace_real(core)
     a_factor = schatten_norm(la.powm_psd(a_arr, (1.0 - r) / 2.0), a_exp)
     b_factor = schatten_norm(la.powm_psd(b_arr, (1.0 - r) / 2.0), b_exp)
-    lhs = (max(term, 0.0) ** r) * a_factor ** (2.0 * r) * b_factor ** (2.0 * r)
+    lhs = la.per_member(
+        lambda t, af, bf, rr: (max(t, 0.0) ** rr) * af ** (2.0 * rr) * bf ** (2.0 * rr),
+        term, a_factor, b_factor, r)
     b_half = la.sqrtm_psd(b_arr)
     base = la.trace_real(la.hermitize(b_half @ a_arr @ b_half, tol=1e-8))
-    rhs = max(base, 0.0) ** r
-    return InequalityMargin(lhs, rhs, f"ralt r={r!r} a={a_exp!r} b={b_exp!r}")
+    rhs = la.per_member(lambda t, rr: max(t, 0.0) ** rr, base, r)
+    return InequalityMargin(
+        lhs, rhs, f"ralt r={la.scalar_or_array(r)!r} a={la.scalar_or_array(a_exp)!r} "
+        f"b={la.scalar_or_array(b_exp)!r}")

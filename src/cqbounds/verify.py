@@ -2,9 +2,11 @@
 inequality and oracle cross-check the package asserts.
 
 Each suite maps a master seed and an instance budget to a deterministic list
-of rows (instance_id, seed, parameters..., lhs, rhs, margin) plus a summary;
-instance streams are derived per instance so thread count never changes the
-output.  Fixed-instance suites ignore the budget.
+of rows (instance_id, seed, parameters..., lhs, rhs, margin) plus a summary.
+Every instance draws from its own stream.  The trace-inequality and entropy
+suites then evaluate their instances together, as (N, d, d) stacks grouped
+by dimension; each row equals the one a single-instance call gives.
+Fixed-instance suites ignore the budget.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from . import bottleneck as bn
 from . import entropy as en
 from . import hyptest as ht
 from . import semigroup as sg
-from .config import parallel_map
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     apply_kraus,
-    random_channel_kraus,
+    density_stack,
+    random_channel_kraus_stack,
     random_density,
+    random_density_stack,
     random_psd,
+    random_psd_stack,
     tensor_all,
 )
 
@@ -86,41 +90,58 @@ def _finish(name, columns, rows, margins, tolerance):
 # trace-inequality suites
 
 
+def _groups(keys):
+    """Instance indices grouped by key, groups in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups.items()
+
+
 def run_alt(seed: int, instances: int = 500) -> SuiteResult:
-    def one(i):
+    draws = []
+    for i in range(instances):
         rng = _rng_for(seed, "alt", i)
         dim = int(rng.integers(2, 5))
         r = float(rng.uniform(0.0, 1.0))
-        a = random_psd(dim, _child_seed(rng))
-        b = random_psd(dim, _child_seed(rng))
+        draws.append((dim, r, _child_seed(rng), _child_seed(rng)))
+    rows = [None] * instances
+    for dim, idx in _groups(d[0] for d in draws):
+        r = [draws[i][1] for i in idx]
+        a = random_psd_stack(dim, [draws[i][2] for i in idx])
+        b = random_psd_stack(dim, [draws[i][3] for i in idx])
         m = sg.check_alt(a, b, r)
-        return [i, seed, dim, r, m.lhs, m.rhs, m.margin]
-
-    rows = parallel_map(one, range(instances))
+        for i, r_i, lhs, rhs, margin in zip(idx, r, m.lhs.tolist(), m.rhs.tolist(),
+                                            m.margin.tolist()):
+            rows[i] = [i, seed, dim, r_i, lhs, rhs, margin]
     cols = ["instance_id", "seed", "dim", "r", "lhs", "rhs", "margin"]
     return _finish("alt", cols, rows, [r[-1] for r in rows], 1e-10)
 
 
 def run_reverse_holder(seed: int, instances: int = 500) -> SuiteResult:
     p_choices = (0.5, -1.0, 0.25, -0.5, 0.75, -2.0)
-
-    def one(i):
+    draws = []
+    for i in range(instances):
         rng = _rng_for(seed, "reverse-holder", i)
         dim = int(rng.integers(2, 5))
         p = float(p_choices[int(rng.integers(0, len(p_choices)))])
-        a = random_psd(dim, _child_seed(rng), min_eig_floor=0.05 if p < 0 else 0.0)
-        b = random_psd(dim, _child_seed(rng), min_eig_floor=0.05)
-        sigma = random_density(dim, _child_seed(rng), min_eig_floor=0.05)
+        draws.append(((dim, p), _child_seed(rng), _child_seed(rng), _child_seed(rng)))
+    rows = [None] * instances
+    for (dim, p), idx in _groups(d[0] for d in draws):
+        a = random_psd_stack(dim, [draws[i][1] for i in idx],
+                             min_eig_floor=0.05 if p < 0 else 0.0)
+        b = random_psd_stack(dim, [draws[i][2] for i in idx], min_eig_floor=0.05)
+        sigma = random_density_stack(dim, [draws[i][3] for i in idx], min_eig_floor=0.05)
         m = sg.check_reverse_holder(a, b, p, sigma)
-        return [i, seed, dim, p, m.lhs, m.rhs, m.margin]
-
-    rows = parallel_map(one, range(instances))
+        for i, lhs, rhs, margin in zip(idx, m.lhs.tolist(), m.rhs.tolist(), m.margin.tolist()):
+            rows[i] = [i, seed, dim, p, lhs, rhs, margin]
     cols = ["instance_id", "seed", "dim", "p", "lhs", "rhs", "margin"]
     return _finish("reverse-holder", cols, rows, [r[-1] for r in rows], 1e-10)
 
 
 def run_reverse_alt(seed: int, instances: int = 500) -> SuiteResult:
-    def one(i):
+    draws = []
+    for i in range(instances):
         rng = _rng_for(seed, "reverse-alt", i)
         dim = int(rng.integers(2, 5))
         r = float(rng.uniform(0.05, 1.0))
@@ -130,12 +151,16 @@ def run_reverse_alt(seed: int, instances: int = 500) -> SuiteResult:
         else:
             u = float(rng.uniform(0.2, 0.8)) * slack
             a_exp, b_exp = 1.0 / u, 1.0 / (slack - u)
-        a = random_psd(dim, _child_seed(rng))
-        b = random_psd(dim, _child_seed(rng))
-        m = sg.check_reverse_alt(a, b, r, a_exp, b_exp)
-        return [i, seed, dim, r, a_exp, b_exp, m.lhs, m.rhs, m.margin]
-
-    rows = parallel_map(one, range(instances))
+        draws.append((dim, (r, a_exp, b_exp), _child_seed(rng), _child_seed(rng)))
+    rows = [None] * instances
+    for dim, idx in _groups(d[0] for d in draws):
+        params = [draws[i][1] for i in idx]
+        a = random_psd_stack(dim, [draws[i][2] for i in idx])
+        b = random_psd_stack(dim, [draws[i][3] for i in idx])
+        m = sg.check_reverse_alt(a, b, *zip(*params))
+        for i, par, lhs, rhs, margin in zip(idx, params, m.lhs.tolist(), m.rhs.tolist(),
+                                            m.margin.tolist()):
+            rows[i] = [i, seed, dim, *par, lhs, rhs, margin]
     cols = ["instance_id", "seed", "dim", "r", "a_exp", "b_exp", "lhs", "rhs", "margin"]
     return _finish("reverse-alt", cols, rows, [r[-1] for r in rows], 1e-10)
 
@@ -158,7 +183,7 @@ def run_rhc(seed: int, instances: int = 500) -> SuiteResult:
             out.append([i, seed, sites, dim, p, q, t0 + dt, m.lhs, m.rhs, m.margin])
         return out
 
-    nested = parallel_map(one, range(instances))
+    nested = [one(i) for i in range(instances)]
     rows = [row for pair in nested for row in pair]
     cols = ["instance_id", "seed", "sites", "site_dim", "p", "q", "t", "lhs", "rhs", "margin"]
     return _finish("rhc", cols, rows, [r[-1] for r in rows], 1e-9)
@@ -168,29 +193,35 @@ def run_rhc(seed: int, instances: int = 500) -> SuiteResult:
 # entropy suites
 
 
+def _seed_columns(seed: int, suite: str, instances: int, count: int):
+    """``count`` child seeds per instance, drawn in order from its stream,
+    as ``count`` lists over the instances."""
+    per_instance = []
+    for i in range(instances):
+        rng = _rng_for(seed, suite, i)
+        per_instance.append([_child_seed(rng) for _ in range(count)])
+    return [list(col) for col in zip(*per_instance)] if per_instance else [[]] * count
+
+
 def run_entropy_dp(seed: int, instances: int = 1000) -> SuiteResult:
     alphas = (1.0, 0.3, 0.5, 0.9)  # 1.0 marks the relative entropy itself
-
-    def one(i):
-        rng = _rng_for(seed, "entropy-dp", i)
-        rho = random_density(2, _child_seed(rng), min_eig_floor=0.01)
-        sig = random_density(2, _child_seed(rng), min_eig_floor=0.01)
-        kraus = random_channel_kraus(2, 2, 2, _child_seed(rng))
-        rho_out = DensityMatrix(apply_kraus(rho, kraus))
-        sig_out = DensityMatrix(apply_kraus(sig, kraus))
-        out = []
-        for alpha in alphas:
-            if alpha == 1.0:
-                before = en.relative_entropy(rho, sig).nats
-                after = en.relative_entropy(rho_out, sig_out).nats
-            else:
-                before = en.renyi_relative_entropy(rho, sig, alpha).nats
-                after = en.renyi_relative_entropy(rho_out, sig_out, alpha).nats
-            out.append([i, seed, alpha, before, after, before - after])
-        return out
-
-    nested = parallel_map(one, range(instances))
-    rows = [row for group in nested for row in group]
+    rho_seeds, sig_seeds, kraus_seeds = _seed_columns(seed, "entropy-dp", instances, 3)
+    rho = random_density_stack(2, rho_seeds, min_eig_floor=0.01)
+    sig = random_density_stack(2, sig_seeds, min_eig_floor=0.01)
+    kraus = random_channel_kraus_stack(2, 2, 2, kraus_seeds)
+    rho_out = density_stack(apply_kraus(rho, kraus))
+    sig_out = density_stack(apply_kraus(sig, kraus))
+    columns = []
+    for alpha in alphas:
+        if alpha == 1.0:
+            before = en.relative_entropy(rho, sig).nats
+            after = en.relative_entropy(rho_out, sig_out).nats
+        else:
+            before = en.renyi_relative_entropy(rho, sig, alpha).nats
+            after = en.renyi_relative_entropy(rho_out, sig_out, alpha).nats
+        columns.append((alpha, before.tolist(), after.tolist()))
+    rows = [[i, seed, alpha, before[i], after[i], before[i] - after[i]]
+            for i in range(instances) for alpha, before, after in columns]
     cols = ["instance_id", "seed", "alpha", "lhs", "rhs", "margin"]
     return _finish("entropy-dp", cols, rows, [r[-1] for r in rows], 1e-8)
 
@@ -199,38 +230,33 @@ def run_entropy_var(seed: int, instances: int = 500) -> SuiteResult:
     """Dominance of the variational value and equality at its maximizer."""
     from . import _linalg as la
 
-    def one(i):
-        rng = _rng_for(seed, "entropy-var", i)
-        rho = random_density(2, _child_seed(rng), min_eig_floor=0.05)
-        sig = random_density(2, _child_seed(rng), min_eig_floor=0.05)
-        d = en.relative_entropy(rho, sig).nats
-        g_rand = random_psd(2, _child_seed(rng), min_eig_floor=0.1)
-        v_rand = en.relative_entropy_variational_value(rho, sig, g_rand).nats
-        g_opt = HermitianOperator(
-            la.expm_herm(la.logm_psd(rho.entries) - la.logm_psd(sig.entries))
-        )
-        v_opt = en.relative_entropy_variational_value(rho, sig, g_opt).nats
-        return [
-            [i, seed, "dominance", d, v_rand, d - v_rand],
-            [i, seed, "equality", 1e-8, abs(d - v_opt), 1e-8 - abs(d - v_opt)],
-        ]
-
-    nested = parallel_map(one, range(instances))
-    rows = [row for group in nested for row in group]
+    rho_seeds, sig_seeds, g_seeds = _seed_columns(seed, "entropy-var", instances, 3)
+    rho = random_density_stack(2, rho_seeds, min_eig_floor=0.05)
+    sig = random_density_stack(2, sig_seeds, min_eig_floor=0.05)
+    d = en.relative_entropy(rho, sig).nats.tolist()
+    g_rand = random_psd_stack(2, g_seeds, min_eig_floor=0.1)
+    v_rand = en.relative_entropy_variational_value(rho, sig, g_rand).nats.tolist()
+    g_opt = la.hermitize(la.expm_herm(la.logm_psd(rho) - la.logm_psd(sig)))
+    v_opt = en.relative_entropy_variational_value(rho, sig, g_opt).nats.tolist()
+    rows = []
+    for i in range(instances):
+        gap = abs(d[i] - v_opt[i])
+        rows.append([i, seed, "dominance", d[i], v_rand[i], d[i] - v_rand[i]])
+        rows.append([i, seed, "equality", 1e-8, gap, 1e-8 - gap])
     cols = ["instance_id", "seed", "kind", "lhs", "rhs", "margin"]
     return _finish("entropy-var", cols, rows, [r[-1] for r in rows], 1e-9)
 
 
 def run_renyi_limit(seed: int, instances: int = 200) -> SuiteResult:
-    def one(i):
-        rng = _rng_for(seed, "renyi-limit", i)
-        rho = random_density(2, _child_seed(rng), min_eig_floor=0.1)
-        sig = random_density(2, _child_seed(rng), min_eig_floor=0.1)
-        d = en.relative_entropy(rho, sig).nats
-        da = en.renyi_relative_entropy(rho, sig, 0.999).nats
-        return [i, seed, 0.999, 1e-3, abs(da - d), 1e-3 - abs(da - d)]
-
-    rows = parallel_map(one, range(instances))
+    rho_seeds, sig_seeds = _seed_columns(seed, "renyi-limit", instances, 2)
+    rho = random_density_stack(2, rho_seeds, min_eig_floor=0.1)
+    sig = random_density_stack(2, sig_seeds, min_eig_floor=0.1)
+    d = en.relative_entropy(rho, sig).nats.tolist()
+    da = en.renyi_relative_entropy(rho, sig, 0.999).nats.tolist()
+    rows = []
+    for i in range(instances):
+        gap = abs(da[i] - d[i])
+        rows.append([i, seed, 0.999, 1e-3, gap, 1e-3 - gap])
     cols = ["instance_id", "seed", "alpha", "lhs", "rhs", "margin"]
     return _finish("renyi-limit", cols, rows, [r[-1] for r in rows], 0.0)
 
@@ -294,7 +320,7 @@ def run_np_oracle(seed: int, instances: int = 200) -> SuiteResult:
         oracle = np_scan_oracle(rho0, rho1, eps)
         return [i, seed, dim, eps, beta, oracle, 1e-9 - abs(beta - oracle)]
 
-    rows = parallel_map(one, range(instances))
+    rows = [one(i) for i in range(instances)]
     cols = ["instance_id", "seed", "dim", "eps", "lhs", "rhs", "margin"]
     return _finish("np-oracle", cols, rows, [r[-1] for r in rows], 0.0)
 
@@ -355,7 +381,7 @@ def run_key_inequality(seed: int, instances: int = 500) -> SuiteResult:
         m = bd.verify_key_inequality(mu, src, t_op, c, t)
         return [i, seed, n, x_size, c, t, m.lhs, m.rhs, m.relative_margin]
 
-    rows = parallel_map(one, range(instances))
+    rows = [one(i) for i in range(instances)]
     cols = ["instance_id", "seed", "n", "x_size", "c", "t", "lhs", "rhs", "margin"]
     return _finish("key-inequality", cols, rows, [r[-1] for r in rows], 1e-6)
 
@@ -385,7 +411,7 @@ def run_image_size(seed: int, instances: int = 500) -> SuiteResult:
         margin = m.margin if math.isfinite(m.margin) else 1.0
         return [i, seed, n, c, delta_prob, m.lhs, m.rhs, margin]
 
-    rows = parallel_map(one, range(instances))
+    rows = [one(i) for i in range(instances)]
     cols = ["instance_id", "seed", "n", "c", "delta", "lhs", "rhs", "margin"]
     return _finish("image-size", cols, rows, [r[-1] for r in rows], 1e-6)
 
@@ -434,7 +460,7 @@ def run_expurgation(seed: int, instances: int = 200) -> SuiteResult:
             [i, seed, "per-message", eps_prime, beta_old / eps_prime, worst_beta, m2],
         ]
 
-    nested = parallel_map(one, range(instances))
+    nested = [one(i) for i in range(instances)]
     rows = [row for group in nested for row in group]
     cols = ["instance_id", "seed", "kind", "eps_prime", "lhs", "rhs", "margin"]
     return _finish("expurgation", cols, rows, [r[-1] for r in rows], 1e-10)
@@ -481,7 +507,7 @@ def run_bottleneck(seed: int, instances: int = 12) -> SuiteResult:
                      var_val, max(solver.value, grid.value) - var_val])
         return rows
 
-    nested = parallel_map(one, range(instances))
+    nested = [one(i) for i in range(instances)]
     rows = [row for group in nested for row in group]
     cols = ["instance_id", "seed", "kind", "c", "lhs", "rhs", "margin"]
     return _finish("bottleneck", cols, rows, [r[-1] for r in rows], 1e-5)

@@ -170,8 +170,35 @@ def test_cli_seeded_rerun_is_identical(model_path, tmp_path):
     ["sc-bound", "--r", "inf", "--eps", "0.5", "--n", "100"],
     ["source-bound", "--log-w1", "nan", "--eps", "0.5", "--n", "200"],
     ["source-bound", "--log-w1", "inf", "--eps", "0.5", "--n", "200"],
+    ["delta", "--c", "nan"],
+    ["delta", "--c", "inf"],
 ])
 def test_cli_rejects_non_finite_weights_and_rates(model_path, tmp_path, argv):
     out = tmp_path / "r.txt"
     assert main(argv + ["--model", model_path, "--out", str(out)]) == 2
     assert not out.exists()  # no report, so no row reads nan
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--n", "3", "--eps", "0.3", "--r1", "1000"],
+    ["theta", "--n", "2", "--r1", "1000"],
+])
+def test_cli_rate_beyond_float_range_hits_encoder_cap(model_path, tmp_path, capsys, argv):
+    # e^(n r1) overflows a float here; the encoder cap must still decide
+    out = tmp_path / "r.txt"
+    code = main(argv + ["--model", model_path, "--out", str(out)])
+    assert code == 4
+    assert "exceed the enumeration cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--model", None],
+    ["verify", "--suite", "alt", "--seed", "1", "--instances", "3"],
+])
+def test_cli_unwritable_out_exits_2_without_traceback(model_path, tmp_path, capsys, argv):
+    argv = [model_path if a is None else a for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "missing" / "r.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
