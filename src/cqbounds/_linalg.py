@@ -215,6 +215,14 @@ def row_sums(x: np.ndarray, keep=None) -> np.ndarray:
     return np.array(sums, dtype=x.dtype).reshape(x.shape[:-1])
 
 
+def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a[i] (x) b[i] of stacks (..., m, m) and (..., n, n),
+    each with the bits of ``np.kron`` on the pair."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    size = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (size, size))
+
+
 def entropy_psd(a: np.ndarray, tol: float = SUPPORT_TOL) -> float:
     """-tr[a ln a] of a PSD matrix, over eigenvalues above ``tol``."""
     w = np.linalg.eigvalsh(a)

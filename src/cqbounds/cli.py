@@ -32,7 +32,12 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .hyptest import brute_force_beta_distributed, neyman_pearson_beta, product_source
+from .hyptest import (
+    CQSource,
+    brute_force_beta_distributed,
+    neyman_pearson_beta,
+    product_source,
+)
 from .model_io import load_model
 from .operators import DensityMatrix, HermitianOperator, tensor_all
 
@@ -115,16 +120,8 @@ def _cmd_entropy(args, report: Report):
     report.add("eta", src.eta)
     report.add("gamma", src.gamma)
     if alt is not None:
-        alt_joint = _alt_joint(src, alt)
+        alt_joint = CQSource(src.alphabet, src.q_x, alt).joint_state()
         report.add("D_joint_vs_alt", relative_entropy(joint, alt_joint).nats, "nats")
-
-
-def _alt_joint(src, alt_states) -> DensityMatrix:
-    k, d = src.size, src.d_y
-    out = np.zeros((k * d, k * d), dtype=complex)
-    for i, (qi, s) in enumerate(zip(src.q_x, alt_states)):
-        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = qi * s.entries
-    return DensityMatrix(out, (k, d))
 
 
 def _cmd_beta(args, report: Report):
@@ -142,7 +139,7 @@ def _cmd_beta(args, report: Report):
         src_n = product_source(src, args.n)
         null = src_n.joint_state()
         if alt is not None:
-            alt_src = type(src)(src.alphabet, src.q_x, alt)
+            alt_src = CQSource(src.alphabet, src.q_x, alt)
             alt_n = product_source(alt_src, args.n)
             alternative = alt_n.joint_state()
         else:

@@ -4,10 +4,15 @@ encoders, brute-force distributed type-II error, and test expurgation.
 The optimal-test solver sweeps the thresholds given by the generalized
 eigenvalues of the pencil rho0 - t rho1 and mixes in the boundary eigenspace
 with one scalar weight, which exhausts the type-I budget deterministically.
+The solver, the brute-force encoder search and expurgation run on stacks of
+problems, the pencils and encoder blocks in steps of at most
+``config.STACK_BYTES`` per stacked array; every member gets the bits a call
+on it alone gives, and the one-problem functions are the stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,6 +25,7 @@ from .config import (
     BLOCK_MASS_TOL,
     ENCODER_ENUM_CAP,
     MAX_TOTAL_DIM,
+    STACK_BYTES,
     SUPPORT_TOL,
 )
 from .errors import (
@@ -28,8 +34,14 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .operators import DensityMatrix, HermitianOperator, tensor_all
+from .operators import DensityMatrix, HermitianOperator, density_stack, tensor_all
 from .reports import BoundReport
+
+
+def average_states(q: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_x Q(x) rho_x of stacked sources, q (..., X) and states (..., X, d, d),
+    the terms added to 0 in order of x."""
+    return sum(q[..., x, None, None] * states[..., x, :, :] for x in range(q.shape[-1]))
 
 
 class CQSource:
@@ -53,7 +65,7 @@ class CQSource:
                 f"alphabet/distribution/states lengths disagree: "
                 f"{len(alphabet)}/{q.shape}/{len(states)}"
             )
-        if abs(float(q.sum()) - 1.0) > 1e-9:
+        if not abs(float(q.sum()) - 1.0) <= 1e-9:  # NaN fails this comparison
             raise ValidationError(f"q_x sums to {float(q.sum())!r}, not 1 (tolerance 1e-9)")
         if np.any(q <= 0.0):
             raise ValidationError("q_x must have full support (all entries > 0)")
@@ -61,8 +73,7 @@ class CQSource:
         if len(dims) != 1:
             raise ValidationError(f"output states live on different dimensions: {sorted(dims)}")
         q.setflags(write=False)
-        avg = sum(qi * s.entries for qi, s in zip(q, states))
-        rho_y = DensityMatrix(avg)
+        rho_y = DensityMatrix(average_states(q, np.stack([s.entries for s in states])))
         inv = la.pinv_psd(rho_y.entries)
         gamma = max(
             float(np.linalg.norm(s.entries @ inv, 2)) for s in states
@@ -163,6 +174,27 @@ def tensor_channels(a: StochasticChannel, b: StochasticChannel) -> StochasticCha
     return StochasticChannel(in_alpha, out_alpha, np.kron(a.kernel, b.kernel))
 
 
+def measurement_stack(arr: np.ndarray, labels=None) -> np.ndarray:
+    """Check and clip test operators 0 <= T <= Id, stacked (..., d, d).
+
+    Rejects the first member whose spectrum leaves [0, 1] by more than 1e-10,
+    naming it by ``labels`` (one per member in flat order; default its flat
+    index), and returns each member rebuilt from its spectrum clipped to
+    [0, 1] and symmetrized.
+    """
+    arr = la.hermitize(arr)
+    w, v = np.linalg.eigh(arr)
+    lo, hi = w[..., 0], w[..., -1]
+    i = la.first_member((lo < -1e-10) | (hi > 1.0 + 1e-10))
+    if i is not None:
+        label = labels[i] if labels is not None else i
+        raise ValidationError(
+            f"test operator for message {label!r} has spectrum "
+            f"[{lo.flat[i]:.3e}, {hi.flat[i]:.6f}] outside [0,1] (tolerance 1e-10)"
+        )
+    return la.hermitize(la.from_spectrum(np.clip(w, 0.0, 1.0), v))
+
+
 class TestFamily:
     """Measurement operators 0 <= T_w <= Id indexed by classical messages."""
 
@@ -177,17 +209,19 @@ class TestFamily:
         for m in messages:
             op = operators[m]
             arr = op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else np.asarray(op, dtype=complex)
-            arr = la.hermitize(arr)
-            w, v = np.linalg.eigh(arr)
-            if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
-                raise ValidationError(
-                    f"test operator for message {m!r} has spectrum "
-                    f"[{w[0]:.3e}, {w[-1]:.6f}] outside [0,1] (tolerance 1e-10)"
-                )
-            w = np.clip(w, 0.0, 1.0)
-            ops[m] = HermitianOperator((v * w) @ v.conj().T)
+            ops[m] = HermitianOperator(measurement_stack(arr, [m]))
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "operators", ops)
+
+    @classmethod
+    def _checked(cls, messages, entries) -> "TestFamily":
+        """A family of operators that ``measurement_stack`` returned."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "messages", tuple(messages))
+        object.__setattr__(
+            fam, "operators", {m: HermitianOperator(e) for m, e in zip(messages, entries)}
+        )
+        return fam
 
     def __setattr__(self, name, value):
         raise AttributeError("TestFamily is immutable")
@@ -235,6 +269,129 @@ def _pencil_thresholds(r0: np.ndarray, r1: np.ndarray) -> list:
     return dedup
 
 
+def stack_step(dim: int) -> int:
+    """How many dim x dim complex matrices one stacked step holds: as many
+    as fit in ``STACK_BYTES``, and at least one."""
+    return max(1, STACK_BYTES // (16 * dim * dim))
+
+
+def _span_weight(cols: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Re sum_j <c_j| mat |c_j> over the columns of contiguous blocks
+    (G, d, k), each summed as ``_weights`` sums one block."""
+    prod = mats @ cols
+    np.multiply(cols.conj(), prod, out=prod)
+    return prod.reshape(len(cols), -1).sum(axis=-1).real
+
+
+def _pencil_weights(r0: np.ndarray, r1: np.ndarray, thresholds):
+    """Spectral weights of the pencils r0[i] - t r1[i] for every threshold t
+    in ``thresholds[i]``, diagonalized in batches of ``stack_step`` pencils.
+
+    The pencils run rank-major (every member's first threshold, then every
+    second one, ...), so each member meets its thresholds in their order.
+    Yields per batch (owner, v, pos, zero, a0, b0, c1, d1): the member of
+    each pencil, its eigenvectors, the masks of the
+    eigenvalues above and within the boundary tolerance 1e-8 max(1, |w|_max),
+    and the weights of r0 (a0, b0) and r1 (c1, d1) on those two spans.  Each
+    pencil gets the bits a call on it alone gives.
+    """
+    counts = [len(row) for row in thresholds]
+    rank = np.concatenate([np.arange(c) for c in counts]) if counts else np.zeros(0, int)
+    member = np.repeat(np.arange(len(counts)), counts)
+    ts = np.array([t for row in thresholds for t in row], dtype=float)
+    order = np.lexsort((member, rank))
+    member, ts = member[order], ts[order]
+    dim = r0.shape[-1]
+    step = stack_step(dim)
+    for lo in range(0, len(ts), step):
+        m, t = member[lo:lo + step], ts[lo:lo + step]
+        if (m == m[0]).all():  # one member: views that broadcast, not copies
+            p0, p1 = r0[m[0]][None], r1[m[0]][None]
+        else:
+            p0, p1 = r0[m], r1[m]
+        w, v = np.linalg.eigh(p0 - t[:, None, None] * p1)
+        tol_b = 1e-8 * np.maximum(1.0, np.abs(w).max(axis=-1))[:, None]
+        pos, zero = w > tol_b, np.abs(w) <= tol_b
+        # eigenvalues ascend, so the positive span is the last n_pos columns
+        # and the boundary span the n_zero columns before them; pencils with
+        # equal counts are weighted together on contiguous copies of the
+        # spans, as the single call's v[:, mask] copies them
+        n_pos, n_zero = pos.sum(axis=-1), zero.sum(axis=-1)
+        weights = np.zeros((4, len(t)))
+        key = n_pos * (dim + 1) + n_zero
+        for g in np.unique(key).tolist():
+            idx = np.flatnonzero(key == g)
+            k_pos, k_zero = divmod(g, dim + 1)
+            whole = len(idx) == len(t)
+            vg = v if whole else v[idx]
+            g0, g1 = (p0, p1) if whole or len(p0) == 1 else (p0[idx], p1[idx])
+            spans = (vg[..., dim - k_pos:], vg[..., dim - k_pos - k_zero:dim - k_pos])
+            for row, (cols, mats) in enumerate(itertools.product(spans, (g0, g1))):
+                if cols.shape[-1]:
+                    weights[row, idx] = _span_weight(np.ascontiguousarray(cols), mats)
+        a0, c1, b0, d1 = weights
+        yield m, v, pos, zero, a0, b0, c1, d1
+
+
+def _threshold_test(v: np.ndarray, pos: np.ndarray, zero: np.ndarray, x: float) -> np.ndarray:
+    """The projector onto the columns ``pos`` of ``v`` plus x times the one
+    onto the columns ``zero``."""
+    test = v[:, pos] @ v[:, pos].conj().T
+    if x > 0.0 and zero.any():
+        test = test + x * (v[:, zero] @ v[:, zero].conj().T)
+    return test
+
+
+def _np_sweep(r0: np.ndarray, r1: np.ndarray, eps, tests: bool = False):
+    """The threshold sweep of ``neyman_pearson_beta`` over stacks (N, d, d).
+
+    ``eps`` is one budget or one per member.  Candidates are taken in the
+    single call's order, so each member gets its bits.  Returns the list of
+    betas and, with ``tests``, the list of optimal test matrices (else None).
+    """
+    n = len(r0)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
+    thresholds = [_pencil_thresholds(a, b) for a, b in zip(r0, r1)]
+    best, found = [None] * n, [None] * n
+
+    def improves(k, beta):
+        """Record a candidate; True when its test is wanted and kept."""
+        beta = max(0.0, min(1.0, beta))
+        if best[k] is None or beta < best[k] - 1e-15:
+            best[k] = beta
+            return tests
+        return False
+
+    for owner, v, pos, zero, a0, b0, c1, d1 in _pencil_weights(r0, r1, thresholds):
+        slack = 1.0 - eps[owner] - a0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = slack / b0
+        flat = slack <= 1e-12
+        mixed = ~flat & (b0 > 1e-14) & (frac <= 1.0 + 1e-9)
+        x = np.where(mixed, np.minimum(1.0, frac), 0.0)
+        betas, owner = (c1 + x * d1).tolist(), owner.tolist()
+        for j in np.flatnonzero(flat | mixed).tolist():
+            if improves(owner[j], betas[j]):
+                found[owner[j]] = _threshold_test(v[j], pos[j], zero[j], float(x[j]))
+
+    # limiting threshold: tests supported on the kernel of rho1 cost no beta
+    w1, v1 = np.linalg.eigh(r1)
+    on_kernel = w1 <= SUPPORT_TOL * np.maximum(1.0, w1[:, -1])[:, None]
+    for k in np.flatnonzero(on_kernel.any(axis=-1)).tolist():
+        ker = v1[k][:, on_kernel[k]]
+        comp = la.hermitize(ker.conj().T @ r0[k] @ ker, tol=1e-9)
+        wk, vk = np.linalg.eigh(comp)
+        cols = ker @ vk[:, wk > 1e-12]
+        if 1.0 - _weights(cols, r0[k]) <= eps[k] + 1e-12:
+            if improves(k, _weights(cols, r1[k])):
+                found[k] = cols @ cols.conj().T
+
+    if any(b is None for b in best):
+        # unreachable: t = 0 keeps the support of rho0, whose type-I error is 0
+        raise DomainError("no feasible threshold test found")
+    return best, found if tests else None
+
+
 def neyman_pearson_beta(rho0: DensityMatrix, rho1: DensityMatrix, eps: float):
     """Minimal type-II error at type-I budget ``eps`` over threshold tests.
 
@@ -249,53 +406,21 @@ def neyman_pearson_beta(rho0: DensityMatrix, rho1: DensityMatrix, eps: float):
     r0, r1 = rho0.entries, rho1.entries
     if r0.shape != r1.shape:
         raise DimensionMismatchError(f"hypothesis dims {r0.shape[0]} vs {r1.shape[0]}")
-    dim = r0.shape[0]
-    best = None  # (beta, order, test_matrix)
+    betas, tests = _np_sweep(r0[None], r1[None], eps, tests=True)
+    return betas[0], HermitianOperator(la.hermitize(tests[0], tol=1e-9), rho0.subsystem_dims)
 
-    def consider(beta, test, order):
-        nonlocal best
-        beta = max(0.0, min(1.0, beta))
-        if best is None or beta < best[0] - 1e-15:
-            best = (beta, order, test)
 
-    for order, t in enumerate(_pencil_thresholds(r0, r1)):
-        a = r0 - t * r1
-        w, v = np.linalg.eigh(a)
-        tol_b = 1e-8 * max(1.0, float(np.max(np.abs(w))))
-        pos = v[:, w > tol_b]
-        zero = v[:, np.abs(w) <= tol_b]
-        a0 = _weights(pos, r0)
-        b0 = _weights(zero, r0)
-        c1 = _weights(pos, r1)
-        d1 = _weights(zero, r1)
-        slack = 1.0 - eps - a0
-        if slack <= 1e-12:
-            x = 0.0
-        elif b0 > 1e-14 and slack / b0 <= 1.0 + 1e-9:
-            x = min(1.0, slack / b0)
-        else:
-            continue
-        test = pos @ pos.conj().T
-        if x > 0.0 and zero.size:
-            test = test + x * (zero @ zero.conj().T)
-        consider(c1 + x * d1, test, order)
-
-    # limiting threshold: tests supported on the kernel of rho1 cost no beta
-    w1, v1 = np.linalg.eigh(r1)
-    ker = v1[:, w1 <= SUPPORT_TOL * max(1.0, float(w1[-1]))]
-    if ker.shape[1] > 0:
-        comp = la.hermitize(ker.conj().T @ r0 @ ker, tol=1e-9)
-        wk, vk = np.linalg.eigh(comp)
-        cols = ker @ vk[:, wk > 1e-12]
-        a0 = _weights(cols, r0)
-        if 1.0 - a0 <= eps + 1e-12:
-            consider(_weights(cols, r1), cols @ cols.conj().T, 10**9)
-
-    if best is None:
-        # unreachable: t = 0 keeps the support of rho0, whose type-I error is 0
-        raise DomainError("no feasible threshold test found")
-    beta, _, test = best
-    return beta, HermitianOperator(la.hermitize(test, tol=1e-9), rho0.subsystem_dims)
+def neyman_pearson_beta_stack(r0: np.ndarray, r1: np.ndarray, eps) -> np.ndarray:
+    """The beta of ``neyman_pearson_beta`` for each pair of density-matrix
+    entries in stacks (N, d, d), with one budget ``eps`` or one per pair."""
+    eps_arr = np.asarray(eps, dtype=float)
+    bad = ~((eps_arr >= 0.0) & (eps_arr < 1.0))
+    i = la.first_member(bad)
+    if i is not None:
+        raise DomainError(f"eps must lie in [0,1); got {float(eps_arr.flat[i])!r}")
+    if r0.shape != r1.shape:
+        raise DimensionMismatchError(f"hypothesis dims {r0.shape[-1]} vs {r1.shape[-1]}")
+    return np.array(_np_sweep(r0, r1, eps_arr)[0], dtype=float)
 
 
 def errors_of_test(t_op, rho0: DensityMatrix, rho1: DensityMatrix) -> ErrorPair:
@@ -329,12 +454,27 @@ def product_source(src: CQSource, n: int) -> CQSource:
         )
     if n == 1:
         return src
-    labels, probs, states = [], [], []
-    for seq in itertools.product(range(src.size), repeat=n):
+    probs, mats = product_stack(src.q_x, np.stack([s.entries for s in src.states]), n)
+    labels, states = [], []
+    for seq, mat in zip(itertools.product(range(src.size), repeat=n), mats):
         labels.append(product_label(src.alphabet[i] for i in seq))
-        probs.append(float(np.prod([src.q_x[i] for i in seq])))
-        states.append(DensityMatrix(tensor_all([src.states[i] for i in seq])))
+        dims = sum((src.states[i].subsystem_dims for i in seq), ())
+        states.append(DensityMatrix(mat, dims))
     return CQSource(labels, probs, states)
+
+
+def product_stack(q: np.ndarray, states: np.ndarray, n: int):
+    """The n-fold memoryless extensions of stacked sources.
+
+    Maps q (..., X) and states (..., X, d, d) to the sequence probabilities
+    (..., X^n) and the unvalidated product states (..., X^n, d^n, d^n),
+    sequences in lexicographic order, each entry with the bits
+    ``product_source`` gives it.
+    """
+    seqs = list(itertools.product(range(q.shape[-1]), repeat=n))
+    probs = np.stack([np.prod(q[..., list(seq)], axis=-1) for seq in seqs], axis=-1)
+    mats = [functools.reduce(la.kron_pairs, (states[..., i, :, :] for i in seq)) for seq in seqs]
+    return probs, np.stack(mats, axis=-3)
 
 
 @dataclass(frozen=True)
@@ -349,45 +489,69 @@ class EncodedSource:
     p_w: np.ndarray
     states: tuple
 
-    def null_joint(self) -> np.ndarray:
-        """Dense block-diagonal matrix of the encoded null hypothesis."""
-        return _block_diag([p * s.entries for p, s in zip(self.p_w, self.states)])
 
-    def alt_joint(self, rho1_block: DensityMatrix) -> np.ndarray:
-        """Dense block-diagonal matrix of p_w o rho1 (independent alternative)."""
-        return _block_diag([p * rho1_block.entries for p in self.p_w])
+def message_blocks(weights: np.ndarray, mass: np.ndarray, states: np.ndarray, owner=None):
+    """The message blocks of stacked encoders.
+
+    Row p of ``weights`` (P, X) holds Q(x) E(w|x) of one (encoder, message)
+    pair and ``mass`` (P,) its probability; ``states`` (X, d, d) holds the
+    source states, or (S, X, d, d) one set per source, row p reading source
+    ``owner[p]``.  Rows of mass at most ``BLOCK_MASS_TOL`` are dropped.
+    Returns the kept row indices and their unnormalized blocks
+    sum_x Q(x) E(w|x) rho_x over the x of positive weight, the terms added to
+    0 in order of x, as ``apply_encoder`` sums them.
+    """
+    kept = np.flatnonzero(mass > BLOCK_MASS_TOL)
+    w = weights[kept]
+    out = np.zeros((len(kept),) + states.shape[-2:], dtype=complex)
+    for x in range(w.shape[1]):
+        rows = np.flatnonzero(w[:, x] > 0.0)
+        term = states[x] if owner is None else states[owner[kept[rows]], x]
+        out[rows] += w[rows, x, None, None] * term
+    return kept, out
 
 
-def _block_diag(blocks) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=complex)
-    at = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[at : at + d, at : at + d] = b
-        at += d
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrices (..., b d, b d) from equal blocks (..., b, d, d)."""
+    b, d = blocks.shape[-3], blocks.shape[-1]
+    out = np.zeros(blocks.shape[:-3] + (b * d, b * d), dtype=complex)
+    for j in range(b):
+        out[..., j * d : (j + 1) * d, j * d : (j + 1) * d] = blocks[..., j, :, :]
     return out
+
+
+def encode_stack(q: np.ndarray, states: np.ndarray, kernels: np.ndarray):
+    """``apply_encoder`` on stacked sources q (N, X), states (N, X, d, d) and
+    encoder kernels (N, X, W).
+
+    Returns one row per kept (source, message) pair, sources in order and
+    each source's messages in kernel-column order: the source and message
+    indices, the message probabilities and the unvalidated conditional
+    states (P, d, d), each with the bits ``apply_encoder`` gives it.
+    """
+    weights = q[..., None] * kernels  # (N, x, w)
+    p_all = weights.sum(axis=-2)
+    w_size = kernels.shape[-1]
+    kept, blocks = message_blocks(
+        np.swapaxes(weights, -1, -2).reshape(-1, weights.shape[-2]),
+        p_all.reshape(-1),
+        states,
+        np.repeat(np.arange(len(q)), w_size),
+    )
+    p = p_all.reshape(-1)[kept]
+    return kept // w_size, kept % w_size, p, blocks / p[:, None, None]
 
 
 def apply_encoder(src_n: CQSource, enc: StochasticChannel) -> EncodedSource:
     """Push the source through a classical encoder, collecting message blocks."""
     if enc.in_alphabet != src_n.alphabet:
         raise DimensionMismatchError("encoder input alphabet does not match the source")
-    weights = src_n.q_x[:, None] * enc.kernel  # (x, w)
-    p_all = weights.sum(axis=0)
-    messages, probs, states = [], [], []
-    for j, m in enumerate(enc.out_alphabet):
-        if p_all[j] <= BLOCK_MASS_TOL:
-            continue
-        block = sum(
-            weights[i, j] * src_n.states[i].entries
-            for i in range(src_n.size)
-            if weights[i, j] > 0.0
-        )
-        messages.append(m)
-        probs.append(float(p_all[j]))
-        states.append(DensityMatrix(block / p_all[j]))
-    return EncodedSource(tuple(messages), np.asarray(probs), tuple(states))
+    _, msg, p, states = encode_stack(
+        src_n.q_x[None], np.stack([s.entries for s in src_n.states])[None], enc.kernel[None]
+    )
+    return EncodedSource(
+        tuple(enc.out_alphabet[j] for j in msg.tolist()), p, tuple(DensityMatrix(s) for s in states)
+    )
 
 
 def message_count(n: int, r1: float) -> int:
@@ -421,23 +585,46 @@ def encoder_count(n: int, r1: float, seq_count: int):
     return w_size, num_encoders
 
 
+def _encoder_betas(assignments, src_n: CQSource, rho1_entries: np.ndarray, eps: float) -> list:
+    """Blockwise optimal type-II error of each deterministic encoder.
+
+    ``assignments`` lists encoders as tuples of message indices, one per
+    sequence.  Each encoder's blocks, the sums of Q(x) rho_x over the
+    sequences it sends to one message (those of mass at most 1e-14
+    dropped), in increasing message order, form its null and p_w rho1 its
+    alternative; encoders with equally many blocks are solved as one stack.
+    """
+    a = np.asarray(assignments)
+    ordered = np.sort(a, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    enc = np.nonzero(first)[0]
+    members = a[enc] == ordered[first][:, None]  # one row per (encoder, message)
+    q = src_n.q_x
+    # each mass sums its members' Q(x) alone, as np.sum(q[members]) does
+    mass = la.row_sums(np.broadcast_to(q, members.shape), members)
+    kept, null_blocks = message_blocks(
+        np.where(members, q, 0.0), mass, np.stack([s.entries for s in src_n.states])
+    )
+    enc, mass = enc[kept], mass[kept]
+    alt_blocks = mass[:, None, None] * rho1_entries
+    counts = np.bincount(enc, minlength=len(a))
+    betas = [None] * len(a)
+    d = rho1_entries.shape[-1]
+    for b in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == b)
+        sel = np.isin(enc, rows)
+        null = density_stack(_block_diag(null_blocks[sel].reshape(len(rows), b, d, d)))
+        alt = density_stack(_block_diag(alt_blocks[sel].reshape(len(rows), b, d, d)))
+        for i, beta in zip(rows.tolist(), _np_sweep(null, alt, eps)[0]):
+            betas[i] = beta
+    return betas
+
+
 def _beta_for_assignment(assignment, src_n, rho1_entries, eps):
-    """Blockwise optimal type-II error of one deterministic encoder."""
-    groups = {}
-    for i, w in enumerate(assignment):
-        groups.setdefault(w, []).append(i)
-    null_blocks, alt_blocks = [], []
-    for w in sorted(groups):
-        members = groups[w]
-        p = float(np.sum(src_n.q_x[members]))
-        if p <= BLOCK_MASS_TOL:
-            continue
-        null_blocks.append(sum(src_n.q_x[i] * src_n.states[i].entries for i in members))
-        alt_blocks.append(p * rho1_entries)
-    null = DensityMatrix(_block_diag(null_blocks))
-    alt = DensityMatrix(_block_diag(alt_blocks))
-    beta, _ = neyman_pearson_beta(null, alt, eps)
-    return beta
+    """Blockwise optimal type-II error of one deterministic encoder (the
+    stack of one of ``_encoder_betas``; perfbench's tracer wraps this name)."""
+    return _encoder_betas([assignment], src_n, rho1_entries, eps)[0]
 
 
 def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
@@ -448,6 +635,8 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     the product alternative.  The result is an upper bound on the true
     infimum, witnessed by the returned encoder; randomized encoders are
     convex mixtures and cannot beat the best deterministic one here.
+    Encoders are solved in stacks of at most ``STACK_BYTES`` of
+    block-diagonal states.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0,1); got {eps!r}")
@@ -456,12 +645,13 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     src_n = product_source(src, n)
     w_size, num_encoders = encoder_count(n, r1, src_n.size)
     rho1_entries = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
-    assignments = list(itertools.product(range(w_size), repeat=src_n.size))
-
-    betas = [_beta_for_assignment(a, src_n, rho1_entries, eps) for a in assignments]
-    best_idx = min(range(len(betas)), key=lambda i: (betas[i], i))
-    best_beta = betas[best_idx]
-    best_assignment = assignments[best_idx]
+    assignments = itertools.product(range(w_size), repeat=src_n.size)
+    step = stack_step(min(w_size, src_n.size) * src_n.d_y)
+    best_beta, best_assignment = None, None
+    while chunk := list(itertools.islice(assignments, step)):
+        for assignment, beta in zip(chunk, _encoder_betas(chunk, src_n, rho1_entries, eps)):
+            if best_beta is None or beta < best_beta:
+                best_beta, best_assignment = beta, assignment
     encoder = StochasticChannel.deterministic(
         src_n.alphabet, [str(w) for w in range(w_size)], best_assignment
     )
@@ -481,6 +671,60 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     return best_beta, encoder, record
 
 
+def expurgate_stack(ops: np.ndarray, p: np.ndarray, sigma: np.ndarray, rho1: np.ndarray,
+                    eps_prime) -> tuple:
+    """``expurgate`` for stacks of families of k messages each.
+
+    ``ops`` and ``sigma`` (..., k, d, d) hold each family's checked test
+    operators and conditional states in message order, ``p`` (..., k) the
+    message probabilities, ``rho1`` (..., d, d) the alternative and
+    ``eps_prime`` one budget or one per family.  Returns the new message
+    order (..., k) and the expurgated operators (..., k, d, d) in that
+    order, each family with the bits a single call gives; raises the single
+    call's error for the first family that breaks a guarantee.
+    """
+    eps_prime = np.asarray(eps_prime, dtype=float)
+    v = la.inner_real(rho1[..., None, :, :], ops)
+    order = np.argsort(v, axis=-1, kind="stable")
+    sorted_p = np.take_along_axis(p, order, axis=-1)
+    sorted_v = np.take_along_axis(v, order, axis=-1)
+    tails = np.cumsum(sorted_p[..., ::-1], axis=-1)[..., ::-1]
+    tails = np.concatenate([tails[..., 1:], np.zeros(tails.shape[:-1] + (1,))], axis=-1)
+    cut = np.argmax(tails <= eps_prime[..., None] + 1e-15, axis=-1)
+
+    k = p.shape[-1]
+    alpha_old = sum(p[..., j] * (1.0 - la.inner_real(sigma[..., j, :, :], ops[..., j, :, :]))
+                    for j in range(k))
+    beta_old = np.sum(p * v, axis=-1)
+
+    kept = np.arange(k) <= cut[..., None]
+    by_order = order[..., None, None]
+    new_ops = measurement_stack(
+        np.where(kept[..., None, None], np.take_along_axis(ops, by_order, axis=-3), 0.0)
+    )
+    sorted_sigma = np.take_along_axis(sigma, by_order, axis=-3)
+    alpha_new = sum(sorted_p[..., j] * (1.0 - la.inner_real(sorted_sigma[..., j, :, :],
+                                                            new_ops[..., j, :, :]))
+                    for j in range(k))
+    type_one = alpha_new > alpha_old + eps_prime + 1e-10
+    bound = beta_old / eps_prime
+    over = kept & (sorted_v > bound[..., None] + 1e-10)
+    i = la.first_member(type_one | over.any(axis=-1))
+    if i is not None and np.ravel(type_one)[i]:
+        raise ValidationError(
+            f"expurgation broke the type-I guarantee: {float(np.ravel(alpha_new)[i])!r} > "
+            f"{float(np.ravel(alpha_old)[i])!r} + "
+            f"{float(np.broadcast_to(eps_prime, np.shape(alpha_new)).flat[i])!r}"
+        )
+    if i is not None:
+        pos = int(np.argmax(over.reshape(-1, k)[i]))
+        raise ValidationError(
+            f"expurgation broke the per-message type-II bound at position {pos}: "
+            f"{sorted_v.reshape(-1, k)[i, pos]!r} > {float(np.ravel(bound)[i])!r}"
+        )
+    return order, new_ops
+
+
 def expurgate(test: TestFamily, encoded: EncodedSource, rho1_block: DensityMatrix,
               eps_prime: float) -> TestFamily:
     """Zero out the worst messages so every survivor has a per-message bound.
@@ -496,45 +740,11 @@ def expurgate(test: TestFamily, encoded: EncodedSource, rho1_block: DensityMatri
     if set(test.messages) != set(encoded.messages):
         raise DimensionMismatchError("test and encoded source index different messages")
     msgs = list(encoded.messages)
-    p = encoded.p_w
-    sigma = {m: s for m, s in zip(encoded.messages, encoded.states)}
-    v = np.array([la.inner_real(rho1_block.entries, test.operators[m].entries) for m in msgs])
-    order = np.argsort(v, kind="stable")
-    sorted_msgs = [msgs[i] for i in order]
-    sorted_p = p[order]
-    tails = np.concatenate([np.cumsum(sorted_p[::-1])[::-1][1:], [0.0]])
-    cut = int(np.argmax(tails <= eps_prime + 1e-15))
-
-    alpha_old = float(
-        sum(
-            pi * (1.0 - la.inner_real(sigma[m].entries, test.operators[m].entries))
-            for m, pi in zip(msgs, p)
-        )
+    order, new_ops = expurgate_stack(
+        np.stack([test.operators[m].entries for m in msgs]),
+        encoded.p_w,
+        np.stack([s.entries for s in encoded.states]),
+        rho1_block.entries,
+        eps_prime,
     )
-    beta_old = float(np.sum(p * v))
-
-    zero = np.zeros_like(rho1_block.entries)
-    new_ops = {}
-    for pos, m in enumerate(sorted_msgs):
-        new_ops[m] = test.operators[m] if pos <= cut else HermitianOperator(zero)
-    out = TestFamily(sorted_msgs, new_ops)
-
-    alpha_new = float(
-        sum(
-            pi * (1.0 - la.inner_real(sigma[m].entries, out.operators[m].entries))
-            for m, pi in zip(sorted_msgs, sorted_p)
-        )
-    )
-    if alpha_new > alpha_old + eps_prime + 1e-10:
-        raise ValidationError(
-            f"expurgation broke the type-I guarantee: {alpha_new!r} > "
-            f"{alpha_old!r} + {eps_prime!r}"
-        )
-    bound = beta_old / eps_prime
-    for pos in range(cut + 1):
-        if v[order[pos]] > bound + 1e-10:
-            raise ValidationError(
-                f"expurgation broke the per-message type-II bound at position {pos}: "
-                f"{v[order[pos]]!r} > {bound!r}"
-            )
-    return out
+    return TestFamily._checked([msgs[i] for i in order.tolist()], new_ops)

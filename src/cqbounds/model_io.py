@@ -14,6 +14,7 @@ A model file is UTF-8 JSON with fields:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -81,8 +82,12 @@ def load_model(path):
             f"q_x: expected {len(alphabet)} probabilities, got "
             f"{len(q_x) if isinstance(q_x, list) else type(q_x).__name__}"
         )
+    for i, value in enumerate(q_x):
+        # JSON true/false parse as bool, a subclass of int; NaN and Infinity as floats
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValidationError(f"q_x[{i}]: expected a finite number, got {value!r}")
     total = float(sum(q_x))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValidationError(f"q_x: sums to {total!r}, not 1 (tolerance 1e-9)")
     states = _decode_states(doc["states"], len(alphabet), "states")
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .config import EIG_CLIP_TOL, HERMITIAN_TOL, MAX_TOTAL_DIM, SUPPORT_TOL
+from .config import EIG_CLIP_TOL, HERMITIAN_TOL, MAX_TOTAL_DIM
 from .errors import DomainError, ResourceCapError, ValidationError
 
 
@@ -329,7 +329,3 @@ def apply_kraus(rho, kraus) -> np.ndarray:
     """
     arr = _as_array(rho)
     return sum(k @ arr @ la.dagger(k) for k in np.moveaxis(np.asarray(kraus), -3, 0))
-
-
-def support_tolerance() -> float:
-    return SUPPORT_TOL

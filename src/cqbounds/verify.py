@@ -3,24 +3,30 @@ inequality and oracle cross-check the package asserts.
 
 Each suite maps a master seed and an instance budget to a deterministic list
 of rows (instance_id, seed, parameters..., lhs, rhs, margin) plus a summary.
-Every instance draws from its own stream.  The trace-inequality and entropy
-suites then evaluate their instances together, as (N, d, d) stacks grouped
-by dimension; each row equals the one a single-instance call gives.
-Fixed-instance suites ignore the budget.
+Every instance draws from its own stream.  The trace-inequality, entropy,
+``np-oracle`` and ``expurgation`` suites then evaluate their instances
+together, as (N, d, d) stacks grouped by dimension (``expurgation`` by
+message count); each row equals the one a single-instance call gives.  The
+Neyman-Pearson pencils and the oracle's weight grid run in steps of at most
+``config.STACK_BYTES`` (64 KiB) per stacked array.  Fixed-instance suites
+ignore the budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg as la
 from . import bounds as bd
 from . import bottleneck as bn
 from . import entropy as en
 from . import hyptest as ht
 from . import semigroup as sg
+from .config import STACK_BYTES
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -228,8 +234,6 @@ def run_entropy_dp(seed: int, instances: int = 1000) -> SuiteResult:
 
 def run_entropy_var(seed: int, instances: int = 500) -> SuiteResult:
     """Dominance of the variational value and equality at its maximizer."""
-    from . import _linalg as la
-
     rho_seeds, sig_seeds, g_seeds = _seed_columns(seed, "entropy-var", instances, 3)
     rho = random_density_stack(2, rho_seeds, min_eig_floor=0.05)
     sig = random_density_stack(2, sig_seeds, min_eig_floor=0.05)
@@ -270,57 +274,106 @@ def np_scan_oracle(rho0: DensityMatrix, rho1: DensityMatrix, eps: float,
     """Independent optimal-test scan: thresholds from the Hermitian ratio
     operator on the support of rho1, a gridded randomization weight plus the
     exact budget-saturating weight at each threshold, brute minimum."""
-    from . import _linalg as la
+    return float(np_scan_oracle_stack(rho0.entries[None], rho1.entries[None], eps, budget)[0])
 
-    r0, r1 = rho0.entries, rho1.entries
+
+def np_scan_oracle_stack(r0: np.ndarray, r1: np.ndarray, eps, budget: int = 400) -> np.ndarray:
+    """``np_scan_oracle`` for each pair of density-matrix entries in stacks
+    (N, d, d), with one budget ``eps`` or one per pair; each value has the
+    single call's bits."""
+    n, dim = r0.shape[0], r0.shape[-1]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
     w1, v1 = np.linalg.eigh(r1)
-    supp = w1 > 1e-12 * max(1.0, float(w1[-1]))
-    isq = (v1[:, supp] * (w1[supp] ** -0.5)) @ v1[:, supp].conj().T
+    supp = w1 > 1e-12 * np.maximum(1.0, w1[:, -1])[:, None]
+    # r1^(-1/2) on the support, from the support columns alone
+    isq = np.zeros_like(r1)
+    counts = supp.sum(axis=-1)
+    for k in np.unique(counts).tolist():
+        idx = np.flatnonzero(counts == k)
+        cols = np.ascontiguousarray(v1[idx][..., dim - k:])
+        isq[idx] = (cols * (w1[idx][:, dim - k:] ** -0.5)[:, None, :]) @ la.dagger(cols)
     ratio = la.hermitize(isq @ r0 @ isq, tol=1e-8)
-    cands = [0.0] + [max(0.0, float(t)) for t in np.linalg.eigvalsh(ratio)]
-    cands = sorted(set(round(t, 14) for t in cands))
-    per_t = max(2, budget // max(1, len(cands)) - 1)
-    best = math.inf
-    for t in cands:
-        w, v = np.linalg.eigh(r0 - t * r1)
-        tol_b = 1e-8 * max(1.0, float(np.max(np.abs(w))))
-        pos = v[:, w > tol_b]
-        zero = v[:, np.abs(w) <= tol_b]
-        a0 = float(np.real(np.sum(pos.conj() * (r0 @ pos)))) if pos.size else 0.0
-        b0 = float(np.real(np.sum(zero.conj() * (r0 @ zero)))) if zero.size else 0.0
-        c1 = float(np.real(np.sum(pos.conj() * (r1 @ pos)))) if pos.size else 0.0
-        d1 = float(np.real(np.sum(zero.conj() * (r1 @ zero)))) if zero.size else 0.0
-        xs = list(np.linspace(0.0, 1.0, per_t))
-        if b0 > 1e-14:
-            xs.append(min(1.0, max(0.0, (1.0 - eps - a0) / b0)))
-        for x in xs:
-            alpha = 1.0 - a0 - x * b0
-            if alpha <= eps + 1e-12:
-                best = min(best, c1 + x * d1)
+    cands = [sorted(set(round(t, 14) for t in [0.0] + [max(0.0, t) for t in row]))
+             for row in np.linalg.eigvalsh(ratio).tolist()]
+    per_t = np.array([max(2, budget // max(1, len(c)) - 1) for c in cands])
+    # every (member, threshold) pencil r0 - t r1, diagonalized in bounded steps
+    owner = np.repeat(np.arange(n), [len(c) for c in cands])
+    ts = np.array([t for c in cands for t in c])
+    a0, b0, c1, d1 = np.zeros((4, len(ts)))
+    step = max(1, STACK_BYTES // (16 * dim * dim))
+    for lo in range(0, len(ts), step):
+        sl = slice(lo, lo + step)
+        a0[sl], b0[sl], c1[sl], d1[sl] = _span_weights(r0[owner[sl]], r1[owner[sl]], ts[sl])
+    eps_p, grids = eps[owner], per_t[owner]
+    best = np.full(n, math.inf)
+    for count in np.unique(grids).tolist():
+        xs = np.linspace(0.0, 1.0, count)
+        rows = np.flatnonzero(grids == count)
+        step = max(1, STACK_BYTES // (8 * count))  # grid rows per float64 array
+        for lo in range(0, len(rows), step):
+            j = rows[lo:lo + step]
+            alpha = 1.0 - a0[j, None] - xs * b0[j, None]
+            vals = np.where(alpha <= eps_p[j, None] + 1e-12, c1[j, None] + xs * d1[j, None], math.inf)
+            np.minimum.at(best, owner[j], vals.min(axis=-1))
+    # the exact budget-saturating weight
+    sat = b0 > 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.minimum(1.0, np.maximum(0.0, (1.0 - eps_p - a0) / b0))
+    alpha = 1.0 - a0 - x * b0
+    np.minimum.at(best, owner, np.where(sat & (alpha <= eps_p + 1e-12), c1 + x * d1, math.inf))
     # tests living on the kernel of rho1 are free of type-II error
-    ker = v1[:, ~supp]
-    if ker.shape[1] > 0:
-        comp = la.hermitize(ker.conj().T @ r0 @ ker, tol=1e-9)
+    for i in np.flatnonzero(~supp.all(axis=-1)).tolist():
+        ker = v1[i][:, ~supp[i]]
+        comp = la.hermitize(ker.conj().T @ r0[i] @ ker, tol=1e-9)
         wk, vk = np.linalg.eigh(comp)
         cols = ker @ vk[:, wk > 1e-12]
-        a0 = float(np.real(np.sum(cols.conj() * (r0 @ cols)))) if cols.size else 0.0
-        if 1.0 - a0 <= eps + 1e-12:
-            best = min(best, max(0.0, float(np.real(np.sum(cols.conj() * (r1 @ cols))))))
-    return max(0.0, min(1.0, best))
+        type_one = 1.0 - (float(np.real(np.sum(cols.conj() * (r0[i] @ cols)))) if cols.size else 0.0)
+        if type_one <= eps[i] + 1e-12:
+            type_two = float(np.real(np.sum(cols.conj() * (r1[i] @ cols)))) if cols.size else 0.0
+            best[i] = min(best[i], max(0.0, type_two))
+    return np.array([max(0.0, min(1.0, b)) for b in best.tolist()])
+
+
+def _span_weights(r0: np.ndarray, r1: np.ndarray, ts: np.ndarray):
+    """Weights (a0, b0, c1, d1) of r0 and r1 on the positive and boundary
+    eigenspaces of the pencils r0[k] - ts[k] r1[k], stacks (P, d, d).
+
+    Pencils whose span keeps the same eigenvector columns are weighted
+    together on a contiguous copy of those columns, so each weight is summed
+    as a call on its pencil alone sums it.
+    """
+    w, v = np.linalg.eigh(r0 - ts[:, None, None] * r1)
+    tol_b = 1e-8 * np.maximum(1.0, np.abs(w).max(axis=-1))[:, None]
+    out = np.zeros((2, 2, len(ts)))  # [span][matrix][pencil]
+    for s, mask in enumerate((w > tol_b, np.abs(w) <= tol_b)):
+        for pattern in np.unique(mask, axis=0):
+            if not pattern.any():
+                continue
+            rows = np.flatnonzero((mask == pattern).all(axis=-1))
+            cols = np.ascontiguousarray(v[rows][..., pattern])
+            for h, mats in enumerate((r0, r1)):
+                prod = cols.conj() * (mats[rows] @ cols)
+                out[s, h, rows] = prod.reshape(len(rows), -1).sum(axis=-1).real
+    (a0, c1), (b0, d1) = out
+    return a0, b0, c1, d1
 
 
 def run_np_oracle(seed: int, instances: int = 200) -> SuiteResult:
-    def one(i):
+    draws = []
+    for i in range(instances):
         rng = _rng_for(seed, "np-oracle", i)
         dim = 2 if rng.uniform() < 0.5 else 3
         eps = float(rng.uniform(0.02, 0.95))
-        rho0 = random_density(dim, _child_seed(rng), min_eig_floor=0.01)
-        rho1 = random_density(dim, _child_seed(rng), min_eig_floor=0.01)
-        beta, _ = ht.neyman_pearson_beta(rho0, rho1, eps)
-        oracle = np_scan_oracle(rho0, rho1, eps)
-        return [i, seed, dim, eps, beta, oracle, 1e-9 - abs(beta - oracle)]
-
-    rows = [one(i) for i in range(instances)]
+        draws.append((dim, eps, _child_seed(rng), _child_seed(rng)))
+    rows = [None] * instances
+    for dim, idx in _groups(d[0] for d in draws):
+        eps = [draws[i][1] for i in idx]
+        rho0 = random_density_stack(dim, [draws[i][2] for i in idx], min_eig_floor=0.01)
+        rho1 = random_density_stack(dim, [draws[i][3] for i in idx], min_eig_floor=0.01)
+        beta = ht.neyman_pearson_beta_stack(rho0, rho1, eps).tolist()
+        oracle = np_scan_oracle_stack(rho0, rho1, eps).tolist()
+        for i, e, b, o in zip(idx, eps, beta, oracle):
+            rows[i] = [i, seed, dim, e, b, o, 1e-9 - abs(b - o)]
     cols = ["instance_id", "seed", "dim", "eps", "lhs", "rhs", "margin"]
     return _finish("np-oracle", cols, rows, [r[-1] for r in rows], 0.0)
 
@@ -347,11 +400,17 @@ def run_np_trend(seed: int, instances: int = 0) -> SuiteResult:
     return _finish("np-trend", cols, rows, [r[-1] for r in rows], 0.0)
 
 
-def _random_cq_source(rng, x_size: int, d_y: int, floor: float = 0.05) -> ht.CQSource:
+def _cq_draw(rng, x_size: int):
+    """The distribution and state seeds ``_random_cq_source`` draws."""
     q = rng.dirichlet(np.full(x_size, 4.0))
     q = 0.5 * q + 0.5 / x_size  # keep eta moderate
     q = q / q.sum()
-    states = [random_density(d_y, _child_seed(rng), min_eig_floor=floor) for _ in range(x_size)]
+    return q, [_child_seed(rng) for _ in range(x_size)]
+
+
+def _random_cq_source(rng, x_size: int, d_y: int, floor: float = 0.05) -> ht.CQSource:
+    q, seeds = _cq_draw(rng, x_size)
+    states = [random_density(d_y, s, min_eig_floor=floor) for s in seeds]
     return ht.CQSource([str(k) for k in range(x_size)], q, states)
 
 
@@ -417,52 +476,70 @@ def run_image_size(seed: int, instances: int = 500) -> SuiteResult:
 
 
 def run_expurgation(seed: int, instances: int = 200) -> SuiteResult:
-    def one(i):
-        rng = _rng_for(seed, "expurgation", i)
-        src = _random_cq_source(rng, 2, 2)
-        src2 = ht.product_source(src, 2)
-        w_size = 4
-        assignment = [int(rng.integers(0, w_size)) for _ in range(src2.size)]
-        enc = ht.StochasticChannel.deterministic(
-            src2.alphabet, [str(w) for w in range(w_size)], assignment
-        )
-        encoded = ht.apply_encoder(src2, enc)
-        rho1 = DensityMatrix(tensor_all([src.rho_y] * 2))
-        ops = {}
-        for m in encoded.messages:
-            raw = random_psd(4, _child_seed(rng)).entries
-            ops[m] = HermitianOperator(raw / (np.linalg.eigvalsh(raw)[-1] + 1e-9), (2, 2))
-        fam = ht.TestFamily(encoded.messages, ops)
-        eps_prime = float(rng.uniform(0.05, 0.9))
-        out = ht.expurgate(fam, encoded, rho1, eps_prime)
-        # recompute both guarantees explicitly
-        sigma = {m: s for m, s in zip(encoded.messages, encoded.states)}
-        p = {m: pi for m, pi in zip(encoded.messages, encoded.p_w)}
-        alpha_old = sum(
-            p[m] * (1.0 - np.trace(sigma[m].entries @ fam.operators[m].entries).real)
-            for m in encoded.messages
-        )
-        beta_old = sum(
-            p[m] * np.trace(rho1.entries @ fam.operators[m].entries).real
-            for m in encoded.messages
-        )
-        alpha_new = sum(
-            p[m] * (1.0 - np.trace(sigma[m].entries @ out.operators[m].entries).real)
-            for m in encoded.messages
-        )
-        worst_beta = max(
-            np.trace(rho1.entries @ out.operators[m].entries).real for m in out.messages
-        )
+    """Expurgation guarantees, recomputed explicitly, on random families.
+
+    Each instance is a random binary-qubit source at n = 2 under a random
+    deterministic encoder into 4 messages, with a random test per message.
+    All instances are evaluated as stacks; instances with equally many
+    messages share one ``expurgate_stack`` call.
+    """
+    cols = ["instance_id", "seed", "kind", "eps_prime", "lhs", "rhs", "margin"]
+    if not instances:
+        return _finish("expurgation", cols, [], [], 1e-10)
+    rngs = [_rng_for(seed, "expurgation", i) for i in range(instances)]
+    sources = [_cq_draw(rng, 2) for rng in rngs]
+    seqs = [ht.product_label(seq) for seq in itertools.product("01", repeat=2)]
+    msg_labels = [str(w) for w in range(4)]
+    kernels = np.stack([
+        ht.StochasticChannel.deterministic(
+            seqs, msg_labels, [int(rng.integers(0, 4)) for _ in seqs]
+        ).kernel
+        for rng in rngs
+    ])
+    q = np.array([qx for qx, _ in sources])
+    states = random_density_stack(2, [s for _, seeds in sources for s in seeds], min_eig_floor=0.05)
+    states = states.reshape(instances, 2, 2, 2)
+    q2, states2 = ht.product_stack(q, states, 2)
+    inst, msg, p_pair, sigma = ht.encode_stack(q2, density_stack(states2), kernels)
+    sigma = density_stack(sigma)
+    rho_y = density_stack(ht.average_states(q, states))
+    rho1 = density_stack(la.kron_pairs(rho_y, rho_y))
+    # each stream then draws a test per kept message, then its budget
+    raw = random_psd_stack(4, [_child_seed(rngs[i]) for i in inst.tolist()])
+    top = np.linalg.eigvalsh(raw)[:, -1]
+    ops = ht.measurement_stack(raw / (top + 1e-9)[:, None, None],
+                               [msg_labels[j] for j in msg.tolist()])
+    eps_all = [float(rng.uniform(0.05, 0.9)) for rng in rngs]
+
+    def trace(a, b):
+        return np.trace(a @ b, axis1=-2, axis2=-1).real
+
+    rows = [None] * instances
+    counts = np.bincount(inst, minlength=instances)
+    first = np.cumsum(counts) - counts
+    for k, idx in _groups(counts.tolist()):
+        pairs = first[idx][:, None] + np.arange(k)
+        p, fam, sig, r1 = p_pair[pairs], ops[pairs], sigma[pairs], rho1[idx]
+        eps_prime = np.array([eps_all[i] for i in idx])
+        order, out = ht.expurgate_stack(fam, p, sig, r1, eps_prime)
+        # recompute both guarantees explicitly, in message order
+        out_by_msg = np.take_along_axis(out, np.argsort(order, axis=-1)[..., None, None], axis=1)
+        alpha_old = sum(p[:, j] * (1.0 - trace(sig[:, j], fam[:, j])) for j in range(k))
+        beta_old = sum(p[:, j] * trace(r1, fam[:, j]) for j in range(k))
+        alpha_new = sum(p[:, j] * (1.0 - trace(sig[:, j], out_by_msg[:, j])) for j in range(k))
+        kept_beta = trace(r1[:, None], out)
+        worst_beta = kept_beta[:, 0]
+        for j in range(1, k):  # max() keeps the first of equal values
+            worst_beta = np.where(kept_beta[:, j] > worst_beta, kept_beta[:, j], worst_beta)
         m1 = (alpha_old + eps_prime) - alpha_new
         m2 = beta_old / eps_prime - worst_beta
-        return [
-            [i, seed, "type-one", eps_prime, alpha_old + eps_prime, alpha_new, m1],
-            [i, seed, "per-message", eps_prime, beta_old / eps_prime, worst_beta, m2],
-        ]
-
-    nested = [one(i) for i in range(instances)]
-    rows = [row for group in nested for row in group]
-    cols = ["instance_id", "seed", "kind", "eps_prime", "lhs", "rhs", "margin"]
+        for r, i in enumerate(idx):
+            e = eps_all[i]
+            rows[i] = [
+                [i, seed, "type-one", e, alpha_old[r] + e, alpha_new[r], m1[r]],
+                [i, seed, "per-message", e, beta_old[r] / e, worst_beta[r], m2[r]],
+            ]
+    rows = [row for group in rows for row in group]
     return _finish("expurgation", cols, rows, [r[-1] for r in rows], 1e-10)
 
 

@@ -1,7 +1,9 @@
+# cqbounds first: it defaults OPENBLAS_NUM_THREADS (and the MKL/OpenMP
+# equivalents) to 1, which only takes effect if set before numpy loads BLAS
+from cqbounds import CQSource, random_density  # isort: skip
+
 import numpy as np
 import pytest
-
-from cqbounds import CQSource, random_density
 
 
 @pytest.fixture

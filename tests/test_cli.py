@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,26 @@ def test_load_model_validation_messages(tmp_path, model_path):
     p.write_text("{not json")
     with pytest.raises(ValidationError, match="JSON"):
         load_model(p)
+
+
+@pytest.mark.parametrize("entry", ["half", float("nan"), float("inf"), True, None])
+def test_load_model_rejects_malformed_q_x_entries(model_path, tmp_path, capsys, entry):
+    doc = json.loads(_read(model_path))
+    doc["q_x"] = [entry, 0.5]
+    p = tmp_path / "bad_q_entry.json"
+    p.write_text(json.dumps(doc))  # NaN and inf are written as NaN / Infinity
+    with pytest.raises(ValidationError, match=r"q_x\[0\]: expected a finite number"):
+        load_model(p)
+    out = tmp_path / "r.txt"
+    assert main(["entropy", "--model", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: q_x[0]")
+    assert not out.exists()
+
+
+def test_cqsource_rejects_nan_probabilities():
+    s0 = random_density(2, 84, min_eig_floor=0.02)
+    with pytest.raises(ValidationError, match="sums to nan"):
+        CQSource(["0", "1"], [float("nan"), 0.5], [s0, s0])
 
 
 def test_cli_exit_codes(model_path, tmp_path):
@@ -202,3 +223,21 @@ def test_cli_unwritable_out_exits_2_without_traceback(model_path, tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+EXAMPLE_MODEL = str(Path(__file__).resolve().parents[1] / "model.example.json")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["beta", "--n", "3", "--r1", "0.3", "--eps", "0.3"],
+     ["beta_min = 0.43612058998199416 [1]", "best_encoder = 00001111 [1]"]),
+    (["beta", "--n", "4", "--eps", "0.3"],
+     ["beta = 0.2004662658944419 [1]"]),
+])
+def test_cli_beta_on_example_model_is_pinned(tmp_path, argv, want):
+    # printed strings recorded from the one-encoder-at-a-time implementation
+    out = tmp_path / "beta.txt"
+    assert main(argv + ["--model", EXAMPLE_MODEL, "--out", str(out)]) == 0
+    lines = _read(out).splitlines()
+    for line in want:
+        assert line in lines

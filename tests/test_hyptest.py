@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cqbounds import hyptest as ht
 from cqbounds import (
     CQSource,
     DensityMatrix,
@@ -176,6 +178,62 @@ def test_apply_encoder():
         apply_encoder(src, StochasticChannel.identity(["x", "y"]))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_stacked_product_source_and_encoder_match_plain_loops():
+    # three-symbol sources at n = 2: nine sequences, so masses of eight or
+    # more terms are summed too
+    sources = [CQSource(["a", "b", "c"], q, [random_density(2, s + k, min_eig_floor=0.02)
+                                             for k in range(3)])
+               for s, q in ((40, (0.2, 0.3, 0.5)), (50, (0.6, 0.1, 0.3)))]
+    rng = np.random.default_rng(3)
+    kernels = rng.uniform(0.0, 1.0, size=(2, 9, 3))
+    kernels[0, :, 2] = 0.0  # message "2" of the first encoder carries no mass
+    kernels /= kernels.sum(axis=-1, keepdims=True)
+    q = np.stack([s.q_x for s in sources])
+    states = np.stack([[st.entries for st in s.states] for s in sources])
+    q2, states2 = ht.product_stack(q, states, 2)
+    inst, msg, p, sigma = ht.encode_stack(q2, states2, kernels)
+    assert inst.tolist() == [0, 0, 1, 1, 1] and msg.tolist() == [0, 1, 0, 1, 2]
+    for k, src in enumerate(sources):
+        two = product_source(src, 2)
+        seqs = list(itertools.product(range(3), repeat=2))
+        # product_source and apply_encoder as plain loops
+        want_q = [float(np.prod([src.q_x[i] for i in seq])) for seq in seqs]
+        want_states = [tensor_all([src.states[i] for i in seq]).entries for seq in seqs]
+        assert _bits(q2[k]) == _bits(np.array(want_q)) == _bits(two.q_x)
+        for got, mine, want in zip(states2[k], two.states, want_states):
+            assert _bits(got) == _bits(mine.entries) == _bits(want)
+        weights = two.q_x[:, None] * kernels[k]
+        p_all = weights.sum(axis=0)
+        encoded = apply_encoder(two, StochasticChannel(two.alphabet, ["0", "1", "2"], kernels[k]))
+        rows = np.flatnonzero(inst == k)
+        assert [str(j) for j in msg[rows]] == list(encoded.messages)
+        for r, m, state in zip(rows, encoded.messages, encoded.states):
+            j = int(m)
+            block = sum(weights[i, j] * two.states[i].entries for i in range(9) if weights[i, j] > 0.0)
+            assert p[r] == p_all[j] == encoded.p_w[list(encoded.messages).index(m)]
+            assert _bits(sigma[r]) == _bits(block / p_all[j])
+            assert _bits(state.entries) == _bits(DensityMatrix(block / p_all[j]).entries)
+
+
+def test_expurgate_stack_raises_the_first_broken_family():
+    # 1x1 families: tr(rho1 T_w) = t_w.  "markov" keeps too little mass for
+    # the per-message bound; "heavy" has a conditional state of trace 100,
+    # which breaks the type-I guarantee alone.
+    families = {
+        "markov": ([0.01, 0.01], [0.5, 0.9], [1.0, 1.0], 0.5),
+        "heavy": ([0.5, 0.5], [0.2, 0.8], [1.0, 100.0], 0.6),
+    }
+    for names, error in ((("markov", "heavy"), "per-message"), (("heavy", "markov"), "type-I")):
+        p, t, sig, eps = (np.array([families[f][k] for f in names]) for k in range(4))
+        with pytest.raises(ValidationError, match=error):
+            ht.expurgate_stack(t[..., None, None] + 0j, p, sig[..., None, None] + 0j,
+                               np.ones((2, 1, 1), dtype=complex), eps)
+
+
 def test_brute_force_unconstrained_matches_identity_encoder():
     src = _src()
     beta, enc, record = brute_force_beta_distributed(src, 1, math.log(2.5), 0.3)
@@ -229,6 +287,81 @@ def test_brute_force_matches_independent_oracle():
     assert record.constants["num_encoders"] == 16
     oracle = _independent_encoder_oracle(src, 2, 2, 0.25)
     assert abs(beta - oracle) < 1e-11
+
+
+def _encoder_loop_reference(src, n, r1, eps):
+    """Brute force as a plain loop: each encoder's block-diagonal states, its
+    blocks in increasing message order and blocks of mass <= 1e-14 dropped,
+    solved by one ``neyman_pearson_beta`` call; first minimum wins."""
+    src_n = product_source(src, n)
+    rho1 = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
+    best = None
+    for assignment in itertools.product(range(message_count(n, r1)), repeat=src_n.size):
+        null_blocks, alt_blocks = [], []
+        for w in sorted(set(assignment)):
+            members = [i for i, a in enumerate(assignment) if a == w]
+            p = float(np.sum(src_n.q_x[members]))
+            if p <= 1e-14:
+                continue
+            null_blocks.append(sum(src_n.q_x[i] * src_n.states[i].entries for i in members))
+            alt_blocks.append(p * rho1)
+        null = DensityMatrix(scipy.linalg.block_diag(*null_blocks))
+        alt = DensityMatrix(scipy.linalg.block_diag(*alt_blocks))
+        beta, _ = neyman_pearson_beta(null, alt, eps)
+        if best is None or beta < best[0]:
+            best = (beta, assignment)
+    return best
+
+
+def _rank_deficient_source():
+    """Qutrit outputs that all live on the first two levels, so every
+    alternative p_w rho_y^(x)n is rank-deficient."""
+    states = []
+    for seed in (31, 32):
+        out = np.zeros((3, 3), dtype=complex)
+        out[:2, :2] = random_density(2, seed, min_eig_floor=0.05).entries
+        states.append(DensityMatrix(out))
+    return CQSource(["0", "1"], [0.4, 0.6], states)
+
+
+@pytest.mark.parametrize("case", ["three-messages", "rank-deficient"])
+def test_brute_force_matches_encoder_loop_bit_for_bit(case, monkeypatch):
+    if case == "three-messages":
+        # 81 encoders with 1, 2 and 3 blocks, among them the 3 constant ones
+        src, n, r1 = _src(), 2, math.log(3.0) / 2
+    else:
+        src, n, r1 = _rank_deficient_source(), 2, math.log(2.0) / 2
+    # 7 of the largest block-diagonal states per stacked step: the encoder
+    # count is not a multiple of it, and a step splits one encoder's pencils
+    dim = min(message_count(n, r1), src.size**n) * src.d_y**n
+    monkeypatch.setattr(ht, "STACK_BYTES", 16 * dim * dim * 7)
+    want_beta, want_assignment = _encoder_loop_reference(src, n, r1, 0.3)
+    beta, encoder, record = brute_force_beta_distributed(src, n, r1, 0.3)
+    assert record.constants["num_encoders"] % ht.stack_step(dim) != 0
+    assert beta == want_beta
+    assert record.witnesses["assignment"] == want_assignment
+    assert list(encoder.kernel.argmax(axis=1)) == list(want_assignment)
+
+
+def test_stacked_neyman_pearson_matches_single_calls():
+    pairs, eps = [], []
+    for k in range(24):
+        rho0 = random_density(3, 100 + k, min_eig_floor=0.0 if k % 2 else 0.02)
+        rho1 = random_density(3, 200 + k, min_eig_floor=0.02)
+        if k % 3 == 0:
+            # rank-deficient alternative: the kernel of rho1 carries part of rho0
+            w, v = np.linalg.eigh(rho1.entries)
+            w[0] = 0.0
+            rho1 = DensityMatrix((v * (w / w.sum())) @ v.conj().T)
+        pairs.append((rho0, rho1))
+        eps.append(0.05 + 0.9 * k / 24)
+    r0 = np.stack([a.entries for a, _ in pairs])
+    r1 = np.stack([b.entries for _, b in pairs])
+    stacked = ht.neyman_pearson_beta_stack(r0, r1, eps)
+    for (rho0, rho1), e, got in zip(pairs, eps, stacked.tolist()):
+        assert got == neyman_pearson_beta(rho0, rho1, e)[0]
+    with pytest.raises(DomainError):
+        ht.neyman_pearson_beta_stack(r0, r1, [0.3] * 23 + [float("nan")])
 
 
 def test_brute_force_monotonicity():

@@ -1,5 +1,8 @@
 """Stacked kernels against one-matrix-at-a-time calls: same bits, same errors."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,22 @@ def test_stacked_draws_match_single_draws():
         single_kraus = random_channel_kraus(2, 2, 2, seed)
         assert all(_bits(kraus[k, e]) == _bits(single_kraus[e]) for e in range(2))
         assert _bits(out[k]) == _bits(apply_kraus(random_density(2, seed), single_kraus))
+
+
+def test_kron_pairs_match_np_kron():
+    a = _psd_stack(2, 5, seed=14)
+    b = _psd_stack(3, 5, seed=15)
+    got = la.kron_pairs(a, b)
+    for k in range(a.shape[0]):
+        assert _bits(got[k]) == _bits(np.kron(a[k], b[k]))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs the Linux /proc task list")
+def test_blas_starts_no_worker_threads():
+    # the package defaults OPENBLAS_NUM_THREADS to 1; that holds only when it
+    # is imported before numpy loads BLAS, as tests/conftest.py does
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        pytest.skip("OPENBLAS_NUM_THREADS is set to another value in the environment")
+    np.linalg.eigh(_psd_stack(200, 1, seed=16)[0])
+    native = len(os.listdir("/proc/self/task")) - threading.active_count()
+    assert native == 0

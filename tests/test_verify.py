@@ -6,10 +6,12 @@ public single-instance functions; every row must print the same bytes.
 
 import math
 
+import numpy as np
 import pytest
 
 from cqbounds import _linalg as la
 from cqbounds import entropy as en
+from cqbounds import hyptest as ht
 from cqbounds import semigroup as sg
 from cqbounds import verify as vf
 from cqbounds.cli import _fmt
@@ -20,6 +22,7 @@ from cqbounds.operators import (
     random_channel_kraus,
     random_density,
     random_psd,
+    tensor_all,
 )
 
 SEED = 7
@@ -109,6 +112,88 @@ def _renyi_limit(i):
     return [[i, SEED, 0.999, 1e-3, abs(da - d), 1e-3 - abs(da - d)]]
 
 
+def _np_scan_reference(rho0, rho1, eps, budget=400):
+    """``np_scan_oracle`` written out for one pair of matrices."""
+    r0, r1 = rho0.entries, rho1.entries
+    w1, v1 = np.linalg.eigh(r1)
+    supp = w1 > 1e-12 * max(1.0, float(w1[-1]))
+    isq = (v1[:, supp] * (w1[supp] ** -0.5)) @ v1[:, supp].conj().T
+    ratio = la.hermitize(isq @ r0 @ isq, tol=1e-8)
+    cands = [0.0] + [max(0.0, float(t)) for t in np.linalg.eigvalsh(ratio)]
+    cands = sorted(set(round(t, 14) for t in cands))
+    per_t = max(2, budget // max(1, len(cands)) - 1)
+    best = math.inf
+    for t in cands:
+        w, v = np.linalg.eigh(r0 - t * r1)
+        tol_b = 1e-8 * max(1.0, float(np.max(np.abs(w))))
+        pos = v[:, w > tol_b]
+        zero = v[:, np.abs(w) <= tol_b]
+        a0 = float(np.real(np.sum(pos.conj() * (r0 @ pos)))) if pos.size else 0.0
+        b0 = float(np.real(np.sum(zero.conj() * (r0 @ zero)))) if zero.size else 0.0
+        c1 = float(np.real(np.sum(pos.conj() * (r1 @ pos)))) if pos.size else 0.0
+        d1 = float(np.real(np.sum(zero.conj() * (r1 @ zero)))) if zero.size else 0.0
+        xs = list(np.linspace(0.0, 1.0, per_t))
+        if b0 > 1e-14:
+            xs.append(min(1.0, max(0.0, (1.0 - eps - a0) / b0)))
+        for x in xs:
+            if 1.0 - a0 - x * b0 <= eps + 1e-12:
+                best = min(best, c1 + x * d1)
+    ker = v1[:, ~supp]
+    if ker.shape[1] > 0:
+        comp = la.hermitize(ker.conj().T @ r0 @ ker, tol=1e-9)
+        wk, vk = np.linalg.eigh(comp)
+        cols = ker @ vk[:, wk > 1e-12]
+        a0 = float(np.real(np.sum(cols.conj() * (r0 @ cols)))) if cols.size else 0.0
+        if 1.0 - a0 <= eps + 1e-12:
+            best = min(best, max(0.0, float(np.real(np.sum(cols.conj() * (r1 @ cols))))))
+    return max(0.0, min(1.0, best))
+
+
+def _np_oracle(i):
+    rng = vf._rng_for(SEED, "np-oracle", i)
+    dim = 2 if rng.uniform() < 0.5 else 3
+    eps = float(rng.uniform(0.02, 0.95))
+    rho0 = random_density(dim, vf._child_seed(rng), min_eig_floor=0.01)
+    rho1 = random_density(dim, vf._child_seed(rng), min_eig_floor=0.01)
+    beta, _ = ht.neyman_pearson_beta(rho0, rho1, eps)
+    oracle = vf.np_scan_oracle(rho0, rho1, eps)
+    assert oracle == _np_scan_reference(rho0, rho1, eps)
+    return [[i, SEED, dim, eps, beta, oracle, 1e-9 - abs(beta - oracle)]]
+
+
+def _expurgation(i):
+    rng = vf._rng_for(SEED, "expurgation", i)
+    src = vf._random_cq_source(rng, 2, 2)
+    src2 = ht.product_source(src, 2)
+    assignment = [int(rng.integers(0, 4)) for _ in range(src2.size)]
+    enc = ht.StochasticChannel.deterministic(src2.alphabet, [str(w) for w in range(4)], assignment)
+    encoded = ht.apply_encoder(src2, enc)
+    rho1 = DensityMatrix(tensor_all([src.rho_y] * 2))
+    ops = {}
+    for m in encoded.messages:
+        raw = random_psd(4, vf._child_seed(rng)).entries
+        ops[m] = HermitianOperator(raw / (np.linalg.eigvalsh(raw)[-1] + 1e-9), (2, 2))
+    fam = ht.TestFamily(encoded.messages, ops)
+    eps_prime = float(rng.uniform(0.05, 0.9))
+    out = ht.expurgate(fam, encoded, rho1, eps_prime)
+    sigma = dict(zip(encoded.messages, encoded.states))
+    p = dict(zip(encoded.messages, encoded.p_w))
+
+    def tr(a, b):
+        return np.trace(a.entries @ b.entries).real
+
+    alpha_old = sum(p[m] * (1.0 - tr(sigma[m], fam.operators[m])) for m in encoded.messages)
+    beta_old = sum(p[m] * tr(rho1, fam.operators[m]) for m in encoded.messages)
+    alpha_new = sum(p[m] * (1.0 - tr(sigma[m], out.operators[m])) for m in encoded.messages)
+    worst_beta = max(tr(rho1, out.operators[m]) for m in out.messages)
+    return [
+        [i, SEED, "type-one", eps_prime, alpha_old + eps_prime, alpha_new,
+         (alpha_old + eps_prime) - alpha_new],
+        [i, SEED, "per-message", eps_prime, beta_old / eps_prime, worst_beta,
+         beta_old / eps_prime - worst_beta],
+    ]
+
+
 REFERENCES = {
     "alt": _alt,
     "reverse-holder": _reverse_holder,
@@ -116,6 +201,8 @@ REFERENCES = {
     "entropy-dp": _entropy_dp,
     "entropy-var": _entropy_var,
     "renyi-limit": _renyi_limit,
+    "np-oracle": _np_oracle,
+    "expurgation": _expurgation,
 }
 
 
