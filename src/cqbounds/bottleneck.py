@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .hyptest import StochasticChannel
-from .operators import DensityMatrix, HermitianOperator, tensor_all
+from .operators import DensityMatrix, HermitianOperator, _as_array, stack_entries, tensor_all
 from .reports import BoundReport
 from .semigroup import InequalityMargin
 
@@ -75,7 +75,7 @@ class DeltaInstance:
             raise ValidationError(f"mu has total mass {float(mu.sum())!r} > 1")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValidationError(f"c must be positive and finite; got {self.c!r}")
-        nu_arr = self.nu.entries if hasattr(self.nu, "entries") else np.asarray(self.nu)
+        nu_arr = _as_array(self.nu)
         if float(np.min(np.linalg.eigvalsh(nu_arr))) < 1e-10:
             raise ValidationError("nu must be full rank (min eigenvalue >= 1e-10)")
         dims = {s.dim for s in self.states}
@@ -111,10 +111,6 @@ class ChannelWithPosterior:
     sigma_y_given_u: tuple
 
 
-def _stack(states) -> np.ndarray:
-    return np.stack([s.entries for s in states])
-
-
 def _traces_against(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Re tr[stack_i mat] for each slice."""
     return np.einsum("xjk,kj->x", stack, mat).real
@@ -130,9 +126,8 @@ class _DeltaWork:
         self.c = inst.c
         self.mu_s = inst.mu[self.support]
         self.log_mu = np.log(self.mu_s)
-        self.stack = _stack([inst.states[i] for i in self.support])
-        nu_arr = inst.nu.entries if hasattr(inst.nu, "entries") else np.asarray(inst.nu)
-        self.log_nu = la.logm_psd(nu_arr)
+        self.stack = stack_entries([inst.states[i] for i in self.support])
+        self.log_nu = la.logm_psd(_as_array(inst.nu))
         self.tr_lognu = self.traces(self.log_nu)
 
     def mix(self, gamma):
@@ -192,7 +187,7 @@ class _ProductDeltaWork(_DeltaWork):
         self.c = c
         self.mu_s = mu[self.support]
         self.log_mu = np.log(self.mu_s)
-        self.sites = _stack(site_states)
+        self.sites = stack_entries(site_states)
         k = self.sites.shape[0]
         self.n = len(members[0])
         seqs = np.asarray([members[i] for i in self.support]).T
@@ -337,7 +332,7 @@ def delta_variational_value(inst: DeltaInstance, t_op) -> float:
     A lower form of ``delta``: never exceeds it, with equality at
     T = e^(ln sigma_gamma* - ln nu) for the maximizing gamma*.
     """
-    t_arr = t_op.entries if hasattr(t_op, "entries") else np.asarray(t_op, dtype=complex)
+    t_arr = _as_array(t_op)
     if float(np.min(np.linalg.eigvalsh(t_arr))) <= SUPPORT_TOL:
         raise DomainError("T must be positive definite")
     work = _DeltaWork(inst)
@@ -360,9 +355,8 @@ class _ChannelWork:
     def __init__(self, measure, reference, states, nu, c):
         self.measure = np.asarray(measure, dtype=float)
         self.reference = np.asarray(reference, dtype=float)
-        self.stack = _stack(states)
-        nu_arr = nu.entries if hasattr(nu, "entries") else np.asarray(nu)
-        self.log_nu = la.logm_psd(nu_arr)
+        self.stack = stack_entries(states)
+        self.log_nu = la.logm_psd(_as_array(nu))
         self.tr_lognu = _traces_against(self.stack, self.log_nu)
         self.c = c
 
@@ -486,7 +480,7 @@ def _posterior_package(measure, states, kernel, u_labels, in_labels):
     k, u_size = kernel.shape
     posterior = np.zeros((u_size, k))
     sigmas = []
-    stack = _stack(states)
+    stack = stack_entries(states)
     for u in range(u_size):
         if p_u[u] > _ROW_MASS_TOL:
             posterior[u] = joint[:, u] / p_u[u]
@@ -521,7 +515,7 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     in_labels = [str(i) for i in range(len(states))]
     u_labels = [f"u{j}" for j in range(u_size)]
     best = _posterior_package(q, states, kernel, u_labels, in_labels)
-    nu_arr = nu.entries if hasattr(nu, "entries") else np.asarray(nu)
+    nu_arr = _as_array(nu)
     rho_avg = np.einsum("x,xjk->jk", q, work.stack)
     if np.max(np.abs(nu_arr - rho_avg)) <= 1e-12:
         i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)

@@ -10,7 +10,6 @@ rather than silently extrapolated.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 
@@ -24,8 +23,24 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .hyptest import CQSource, StochasticChannel, encoder_count
-from .operators import DensityMatrix, HermitianOperator, tensor_all
+from .hyptest import (
+    CQSource,
+    StochasticChannel,
+    _test_entries,
+    encoder_chunks,
+    encoder_count,
+    encoder_rows,
+    message_blocks,
+    product_stack,
+)
+from .operators import (
+    DensityMatrix,
+    HermitianOperator,
+    _as_dims,
+    density_stack,
+    stack_entries,
+    tensor_all,
+)
 from .reports import BoundReport
 from .semigroup import InequalityMargin, psi_map_sites
 
@@ -48,9 +63,7 @@ def source_entropy(src: CQSource) -> float:
 
 def source_mutual_information(src: CQSource) -> float:
     """I(X;Y) = S(avg) - sum_x Q(x) S(rho_x), in nats."""
-    s_avg = la.entropy_psd(src.rho_y.entries)
-    s_cond = sum(q * la.entropy_psd(s.entries) for q, s in zip(src.q_x, src.states))
-    return s_avg - s_cond
+    return la.entropy_psd(src.rho_y.entries) - source_conditional_output_entropy(src)
 
 
 def source_conditional_output_entropy(src: CQSource) -> float:
@@ -87,14 +100,6 @@ def image_size_constant(eta: float, gamma: float, c: float, x_size: int,
 # encoded-divergence estimates
 
 
-def _sequence_weights_states(src: CQSource, states, n: int):
-    """Product weights and kron'd states for every length-n sequence."""
-    labels = list(itertools.product(range(src.size), repeat=n))
-    weights = np.array([float(np.prod([src.q_x[i] for i in seq])) for seq in labels])
-    mats = [tensor_all([states[i] for i in seq]).entries for seq in labels]
-    return labels, weights, mats
-
-
 def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
                   r2_infinite: bool = True) -> float:
     """Best normalized divergence between encoded null and alternative over
@@ -103,7 +108,8 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
     A certified lower estimate of the n-letter encoded-divergence supremum
     (the enumeration covers a sub-class of the admissible encoders).  The
     alternative hypothesis shares the input distribution and replaces the
-    output states by ``src1_states``.
+    output states by ``src1_states``.  Message blocks of mass at most
+    ``BLOCK_MASS_TOL`` are dropped, as ``message_blocks`` drops them.
     """
     if not r2_infinite:
         raise DomainError("only the uncompressed-side regime (r2 = infinity) is supported")
@@ -113,30 +119,23 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
     if len(src1_states) != src0.size:
         raise DimensionMismatchError("alternative family must match the alphabet")
     w_size, _ = encoder_count(n, r1, src0.size ** n)
-    _, weights, null_mats = _sequence_weights_states(src0, src0.states, n)
-    _, _, alt_mats = _sequence_weights_states(src0, src1_states, n)
-    seq_count = len(weights)
-
-    def encoded_divergence(assignment):
-        total = 0.0
-        for w in range(w_size):
-            members = [i for i in range(seq_count) if assignment[i] == w]
-            if not members:
-                continue
-            p = float(np.sum(weights[members]))
-            if p <= 0.0:
-                continue
-            null_block = sum(weights[i] * null_mats[i] for i in members) / p
-            alt_block = sum(weights[i] * alt_mats[i] for i in members) / p
-            d = relative_entropy(DensityMatrix(null_block), HermitianOperator(alt_block)).nats
-            if math.isinf(d):
-                return math.inf
-            total += p * d
-        return total / n
-
-    assignments = list(itertools.product(range(w_size), repeat=seq_count))
-    values = [encoded_divergence(a) for a in assignments]
-    return float(max(values))
+    weights, null_mats = product_stack(src0.q_x, stack_entries(src0.states), n)
+    _, alt_mats = product_stack(src0.q_x, stack_entries(src1_states), n)
+    best = -math.inf
+    for chunk in encoder_chunks(w_size, len(weights), null_mats.shape[-1]):
+        enc, mass, rows = encoder_rows(chunk, weights)
+        kept, null_blocks = message_blocks(rows, mass, null_mats)
+        _, alt_blocks = message_blocks(rows, mass, alt_mats)
+        p = mass[kept]
+        d = relative_entropy(
+            density_stack(null_blocks / p[:, None, None]),
+            la.hermitize(alt_blocks / p[:, None, None]),
+        ).nats
+        totals = [0.0] * len(chunk)
+        for e, pe, de in zip(enc[kept].tolist(), p.tolist(), d.tolist()):
+            totals[e] += pe * de
+        best = max(best, max(totals) / n)
+    return float(best)
 
 
 def stein_independence_objective(src: CQSource, chan: StochasticChannel):
@@ -147,7 +146,7 @@ def stein_independence_objective(src: CQSource, chan: StochasticChannel):
     """
     if chan.in_alphabet != src.alphabet:
         raise DimensionMismatchError("channel input alphabet does not match the source")
-    stack = np.stack([s.entries for s in src.states])
+    stack = stack_entries(src.states)
     return chain_informations(src.q_x, stack, src.rho_y.entries, chan.kernel)
 
 
@@ -204,52 +203,70 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 18):
     return best[1], best[0]
 
 
+def _lagrangian_min(src: CQSource, offset: float, u_size: int | None, multistarts: int):
+    """inf over c >= 1 of (delta_star(c) + offset)/c and the curve it came from.
+
+    Evaluated on the weight grid {1, 1.25, ..., 16} with golden-section
+    refinement around the grid argmin; returns (value, [(c, value at c)]).
+    """
+    u = u_size if u_size is not None else src.size + 1
+
+    def lagrangian(c):
+        return (_delta_star_value(src, c, u, multistarts) + offset) / c
+
+    curve = [(c, lagrangian(c)) for c in C_GRID]
+    best_c, best_val = min(curve, key=lambda cv: (cv[1], cv[0]))
+    lo = max(C_GRID[0], best_c - 0.25)
+    hi = min(C_GRID[-1], best_c + 0.25)
+    _, refined = _golden_min(lagrangian, lo, hi)
+    return min(best_val, refined), curve
+
+
 def bottleneck_sup_constrained(src: CQSource, r: float, u_size: int | None = None,
                                multistarts: int = 16):
     """sup of I(U;Y) subject to I(U;X) <= r, through its Lagrangian relaxation
     inf over c >= 1 of (delta_star(c) + r)/c.
 
-    Evaluated on the weight grid {1, 1.25, ..., 16} with golden-section
-    refinement around the grid argmin, plus the c -> infinity endpoint whose
-    Lagrangian value is I(X;Y); that endpoint makes the value exact (the
-    identity map attains it) whenever r >= H(X).  Returns
+    The Lagrangian is minimized by ``_lagrangian_min``, with the c -> infinity
+    endpoint whose Lagrangian value is I(X;Y) added; that endpoint makes the
+    value exact (the identity map attains it) whenever r >= H(X).  Returns
     (value, lagrangian curve); the curve ends with the (inf, I(X;Y)) entry.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"rate must be finite and nonnegative; got {r!r}")
-    u = u_size if u_size is not None else src.size + 1
-
-    def lagrangian(c):
-        return (_delta_star_value(src, c, u, multistarts) + r) / c
-
-    curve = [(c, lagrangian(c)) for c in C_GRID]
-    best_c, best_val = min(((c, v) for c, v in curve), key=lambda cv: (cv[1], cv[0]))
-    lo = max(C_GRID[0], best_c - 0.25)
-    hi = min(C_GRID[-1], best_c + 0.25)
-    _, refined = _golden_min(lagrangian, lo, hi)
+    value, curve = _lagrangian_min(src, r, u_size, multistarts)
     limit = source_mutual_information(src)
     curve.append((math.inf, limit))
-    value = min(best_val, refined, limit)
-    return value, curve
+    return min(value, limit), curve
 
 
 # ---------------------------------------------------------------------------
 # the key trace inequality
 
 
-def _validate_test(t_op, d_y: int):
-    arr = t_op.entries if hasattr(t_op, "entries") else np.asarray(t_op, dtype=complex)
-    w = np.linalg.eigvalsh(arr)
-    if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
-        raise DomainError(
-            f"not a valid test: spectrum [{w[0]:.3e}, {w[-1]:.6f}] outside [0,1]"
-        )
-    dims = getattr(t_op, "subsystem_dims", (arr.shape[0],))
-    if any(d != d_y for d in dims):
+def _n_letter_delta(mu_n, src: CQSource, t_n, ref, c: float, multistarts: int):
+    """The checks and the Delta term of the key inequality and the
+    single-test image-size bound: the test entries, n, mu_n and rho_x^n on
+    the support of mu_n (sequences in lexicographic order), ref^n, and
+    Delta(mu_n, ref^n, c)."""
+    t_arr = _test_entries(t_n)
+    dims = _as_dims(t_n)
+    if any(d != src.d_y for d in dims):
         raise DimensionMismatchError(
-            f"test subsystems {dims} do not match the output dimension {d_y}"
+            f"test subsystems {dims} do not match the output dimension {src.d_y}"
         )
-    return arr, len(dims)
+    n = len(dims)
+    mu = np.asarray(mu_n, dtype=float)
+    if mu.shape[0] != src.size**n:
+        raise DimensionMismatchError(
+            f"mu_n has {mu.shape[0]} entries; expected |X|^n = {src.size ** n}"
+        )
+    support = np.flatnonzero(mu > 0.0)
+    all_mats = product_stack(src.q_x, stack_entries(src.states), n)[1]
+    mats = [all_mats[i] for i in support]
+    ref_n = tensor_all([ref] * n)
+    inst = DeltaInstance(mu[support], [DensityMatrix(m) for m in mats], ref_n, c)
+    return t_arr, n, mu[support], mats, ref_n, delta(inst, multistarts=multistarts).value
 
 
 def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,
@@ -264,33 +281,33 @@ def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,
         raise DomainError(f"c must exceed 1; got {c!r}")
     if t <= 0.0:
         raise DomainError(f"t must be positive; got {t!r}")
-    t_arr, n = _validate_test(t_n, src.d_y)
-    mu = np.asarray(mu_n, dtype=float)
-    if mu.shape[0] != src.size**n:
-        raise DimensionMismatchError(
-            f"mu_n has {mu.shape[0]} entries; expected |X|^n = {src.size ** n}"
-        )
-    labels, _, mats = _sequence_weights_states(src, src.states, n)
-    support = np.flatnonzero(mu > 0.0)
-    states = [DensityMatrix(mats[i]) for i in support]
-    nu_n = tensor_all([src.rho_y] * n)
-    inst = DeltaInstance(mu[support], states, nu_n, c)
-    d_val = delta(inst, multistarts=delta_multistarts).value
-
+    t_arr, n, mu, mats, nu_n, d_val = _n_letter_delta(
+        mu_n, src, t_n, src.rho_y, c, delta_multistarts)
     t_wrapped = HermitianOperator(t_arr, (src.d_y,) * n)
     moved = psi_map_sites(t_wrapped, t, src.gamma, src.rho_y)
     base = la.inner_real(nu_n.entries, moved.entries)
     lhs = max(base, 0.0) ** c * math.exp(d_val)
     exponent = c * (1.0 + 1.0 / t)
     rhs = 0.0
-    for i in support:
-        tr = max(0.0, la.inner_real(mats[i], t_arr))
-        rhs += mu[i] * tr**exponent
+    for m, mat in zip(mu, mats):
+        tr = max(0.0, la.inner_real(mat, t_arr))
+        rhs += m * tr**exponent
     return InequalityMargin(lhs, rhs, f"key c={c!r} t={t!r} n={n}")
 
 
 # ---------------------------------------------------------------------------
 # strong converse, image size, and source coding reports
+
+
+def _check_blocklength(src: CQSource, eps: float, n: int):
+    """Reject eps outside (0,1) and n at or below 3 eta ln(4|X|/(1-eps))."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0,1); got {eps!r}")
+    threshold = 3.0 * src.eta * math.log(4.0 * src.size / (1.0 - eps))
+    if n <= threshold:
+        raise PreconditionError(
+            f"n={n} must exceed 3 eta ln(4|X|/(1-eps)) = {threshold!r}"
+        )
 
 
 def sc_bound_stein(src: CQSource, r: float, eps: float, n: int,
@@ -299,13 +316,7 @@ def sc_bound_stein(src: CQSource, r: float, eps: float, n: int,
     rate-limited testing against independence, valid for blocklengths above
     3 eta ln(4|X|/(1-eps)).
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0,1); got {eps!r}")
-    threshold = 3.0 * src.eta * math.log(4.0 * src.size / (1.0 - eps))
-    if n <= threshold:
-        raise PreconditionError(
-            f"n={n} must exceed 3 eta ln(4|X|/(1-eps)) = {threshold!r}"
-        )
+    _check_blocklength(src, eps, n)
     first, curve = bottleneck_sup_constrained(src, r, u_size, multistarts=multistarts)
     k_eps = k_epsilon(src.eta, src.gamma, src.size, eps)
     return BoundReport(
@@ -332,22 +343,11 @@ def image_size_bound_i(mu_n, src: CQSource, sigma: DensityMatrix, t_n, c: float,
         raise DomainError(f"c must be positive; got {c!r}")
     if not 0.0 < delta_prob < 1.0:
         raise DomainError(f"delta must lie in (0,1); got {delta_prob!r}")
-    t_arr, n = _validate_test(t_n, src.d_y)
-    mu = np.asarray(mu_n, dtype=float)
-    if mu.shape[0] != src.size**n:
-        raise DimensionMismatchError(
-            f"mu_n has {mu.shape[0]} entries; expected |X|^n = {src.size ** n}"
-        )
-    labels, _, mats = _sequence_weights_states(src, src.states, n)
-    support = np.flatnonzero(mu > 0.0)
-    traces = np.array([la.inner_real(mats[i], t_arr) for i in support])
-    prob = float(np.sum(mu[support][traces >= delta_prob]))
-    sigma_n = tensor_all([sigma] * n)
+    t_arr, n, mu, mats, sigma_n, d_val = _n_letter_delta(
+        mu_n, src, t_n, sigma, c, delta_multistarts)
+    traces = np.array([la.inner_real(m, t_arr) for m in mats])
+    prob = float(np.sum(mu[traces >= delta_prob]))
     denom = la.inner_real(sigma_n.entries, t_arr)
-
-    states = [DensityMatrix(mats[i]) for i in support]
-    inst = DeltaInstance(mu[support], states, sigma_n, c)
-    d_val = delta(inst, multistarts=delta_multistarts).value
     bound = (
         d_val
         + 2.0 * c * math.sqrt(math.log(1.0 / delta_prob)) * math.sqrt(n * max(src.gamma - 1.0, 0.0))
@@ -401,18 +401,7 @@ def source_coding_first_order(src: CQSource, log_w1: float,
     """
     if not 0.0 <= log_w1 < math.inf:
         raise DomainError(f"log_w1 must be finite and nonnegative; got {log_w1!r}")
-    u = u_size if u_size is not None else src.size + 1
-    s_avg = la.entropy_psd(src.rho_y.entries)
-
-    def dual(c):
-        return s_avg - (_delta_star_value(src, c, u, multistarts) + log_w1) / c
-
-    values = [(dual(c), c) for c in C_GRID]
-    best_val, best_c = max(values)
-    lo = max(C_GRID[0], best_c - 0.25)
-    hi = min(C_GRID[-1], best_c + 0.25)
-    _, refined = _golden_min(lambda c: -dual(c), lo, hi)
-    value = max(best_val, -refined)
+    value = la.entropy_psd(src.rho_y.entries) - _lagrangian_min(src, log_w1, u_size, multistarts)[0]
     if log_w1 >= source_entropy(src) - 1e-12:
         value = max(value, source_conditional_output_entropy(src))
     return value
@@ -423,13 +412,7 @@ def source_coding_bound(src: CQSource, eps: float, n: int, log_w1: float,
     """Lower bound on the normalized quantum rate of source compression with
     rate-limited classical side information, at average square fidelity
     1 - eps; valid for n > 3 eta ln(4|X|/(1-eps))."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0,1); got {eps!r}")
-    threshold = 3.0 * src.eta * math.log(4.0 * src.size / (1.0 - eps))
-    if n <= threshold:
-        raise PreconditionError(
-            f"n={n} must exceed 3 eta ln(4|X|/(1-eps)) = {threshold!r}"
-        )
+    _check_blocklength(src, eps, n)
     first = source_coding_first_order(src, log_w1, u_size, multistarts=multistarts)
     d_y = src.d_y
     second = (

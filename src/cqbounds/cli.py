@@ -384,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--instances", type=int, default=None,
                    help="instances per suite; the fixed-size suites np-trend, "
-                   "single-letter, soundness and sandwich ignore it")
+                   "single-letter, soundness and sandwich run at most this "
+                   "many of their fixed instances")
 
     p = sub.add_parser("sweep", help="sweep one parameter of a bound")
     common(p)

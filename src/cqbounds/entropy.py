@@ -17,7 +17,7 @@ import numpy as np
 from . import _linalg as la
 from .config import KERNEL_OVERLAP_TOL, SUPPORT_TOL
 from .errors import DimensionMismatchError, DomainError
-from .operators import DensityMatrix, HermitianOperator, partial_trace, tensor
+from .operators import DensityMatrix, HermitianOperator, _as_array, partial_trace, tensor
 
 LN2 = math.log(2.0)
 
@@ -39,15 +39,9 @@ class EntropyValue:
         return f"EntropyValue(nats={self.nats!r})"
 
 
-def _arr(a) -> np.ndarray:
-    return a.entries if isinstance(a, (HermitianOperator, DensityMatrix)) else np.asarray(a, dtype=complex)
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> EntropyValue:
     """S(rho) = -sum lambda ln lambda over the spectrum above the support cut."""
-    w = np.linalg.eigvalsh(_arr(rho))
-    w = w[w > SUPPORT_TOL]
-    return EntropyValue(max(0.0, float(-np.sum(w * np.log(w)))))
+    return EntropyValue(max(0.0, la.entropy_psd(_as_array(rho))))
 
 
 def _support_violated(rho_arr: np.ndarray, sigma_arr: np.ndarray) -> np.ndarray:
@@ -73,8 +67,8 @@ def _support_violated(rho_arr: np.ndarray, sigma_arr: np.ndarray) -> np.ndarray:
 
 
 def _pair(rho, sigma):
-    r = _arr(rho)
-    s = _arr(sigma)
+    r = _as_array(rho)
+    s = _as_array(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"operand dims {r.shape[-1]} vs {s.shape[-1]}")
     return r, s
@@ -122,7 +116,7 @@ def renyi_complement(a, b, p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0,1); got {p!r}")
-    q = la.inner_real(la.powm_psd(_arr(a), p), la.powm_psd(_arr(b), 1.0 - p))
+    q = la.inner_real(la.powm_psd(_as_array(a), p), la.powm_psd(_as_array(b), 1.0 - p))
     if q <= 0.0:
         return math.inf
     return -math.log(q) / p
@@ -190,8 +184,8 @@ def classical_kl(p, q) -> EntropyValue:
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Squared-trace-norm fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    s = la.sqrtm_psd(_arr(rho))
-    inner = s @ _arr(sigma) @ s
+    s = la.sqrtm_psd(_as_array(rho))
+    inner = s @ _as_array(sigma) @ s
     w = np.linalg.eigvalsh(la.hermitize(inner, tol=1e-9))
     w = np.maximum(w, 0.0)
     val = float(np.sum(np.sqrt(w))) ** 2
@@ -205,11 +199,11 @@ def relative_entropy_variational_value(rho: DensityMatrix, sigma, g) -> EntropyV
     G = e^(ln rho - ln sigma) for full-rank inputs.  Also takes stacks
     (..., d, d) of arrays, giving an array of values in ``nats``.
     """
-    g_arr = _arr(g)
+    g_arr = _as_array(g)
     if np.any(np.linalg.eigvalsh(g_arr)[..., 0] <= SUPPORT_TOL):
         raise DomainError("G must be positive definite")
-    s_arr = _arr(sigma)
-    first = la.inner_real(_arr(rho), la.logm_psd(g_arr))
+    s_arr = _as_array(sigma)
+    first = la.inner_real(_as_array(rho), la.logm_psd(g_arr))
     w_s, v_s = np.linalg.eigh(s_arr)
     supp = w_s > SUPPORT_TOL
     full = np.all(supp, axis=-1)

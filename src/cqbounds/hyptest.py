@@ -34,7 +34,14 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .operators import DensityMatrix, HermitianOperator, density_stack, tensor_all
+from .operators import (
+    DensityMatrix,
+    HermitianOperator,
+    _as_array,
+    density_stack,
+    stack_entries,
+    tensor_all,
+)
 from .reports import BoundReport
 
 
@@ -73,7 +80,7 @@ class CQSource:
         if len(dims) != 1:
             raise ValidationError(f"output states live on different dimensions: {sorted(dims)}")
         q.setflags(write=False)
-        rho_y = DensityMatrix(average_states(q, np.stack([s.entries for s in states])))
+        rho_y = DensityMatrix(average_states(q, stack_entries(states)))
         inv = la.pinv_psd(rho_y.entries)
         gamma = max(
             float(np.linalg.norm(s.entries @ inv, 2)) for s in states
@@ -98,11 +105,8 @@ class CQSource:
 
     def joint_state(self) -> DensityMatrix:
         """Block-diagonal joint state sum_x Q(x)|x><x| o rho_x."""
-        k, d = self.size, self.d_y
-        out = np.zeros((k * d, k * d), dtype=complex)
-        for i, (qi, s) in enumerate(zip(self.q_x, self.states)):
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = qi * s.entries
-        return DensityMatrix(out, (k, d))
+        blocks = self.q_x[:, None, None] * stack_entries(self.states)
+        return DensityMatrix(_block_diag(blocks), (self.size, self.d_y))
 
     def independence_alternative(self) -> DensityMatrix:
         """Product of marginals, diag(Q) o rho_avg, on the same layout."""
@@ -207,9 +211,7 @@ class TestFamily:
             raise ValidationError("messages must be distinct")
         ops = {}
         for m in messages:
-            op = operators[m]
-            arr = op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else np.asarray(op, dtype=complex)
-            ops[m] = HermitianOperator(measurement_stack(arr, [m]))
+            ops[m] = HermitianOperator(measurement_stack(_as_array(operators[m]), [m]))
         object.__setattr__(self, "messages", messages)
         object.__setattr__(self, "operators", ops)
 
@@ -423,13 +425,24 @@ def neyman_pearson_beta_stack(r0: np.ndarray, r1: np.ndarray, eps) -> np.ndarray
     return np.array(_np_sweep(r0, r1, eps_arr)[0], dtype=float)
 
 
-def errors_of_test(t_op, rho0: DensityMatrix, rho1: DensityMatrix) -> ErrorPair:
-    """Type-I and type-II errors of a single test operator."""
-    arr = t_op.entries if isinstance(t_op, (HermitianOperator, DensityMatrix)) else np.asarray(t_op, dtype=complex)
+def _test_entries(t_op) -> np.ndarray:
+    """The entries of one test operator; a DomainError unless its spectrum
+    lies in [0, 1] within 1e-10."""
+    arr = _as_array(t_op)
     w = np.linalg.eigvalsh(arr)
     if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
         raise DomainError(
             f"not a valid test: spectrum [{w[0]:.3e}, {w[-1]:.6f}] outside [0,1]"
+        )
+    return arr
+
+
+def errors_of_test(t_op, rho0: DensityMatrix, rho1: DensityMatrix) -> ErrorPair:
+    """Type-I and type-II errors of a single test operator."""
+    arr = _test_entries(t_op)
+    if not arr.shape == rho0.entries.shape == rho1.entries.shape:
+        raise DimensionMismatchError(
+            f"test dims {arr.shape[0]} vs hypothesis dims {rho0.dim} and {rho1.dim}"
         )
     alpha = 1.0 - la.inner_real(arr, rho0.entries)
     beta = la.inner_real(arr, rho1.entries)
@@ -454,7 +467,7 @@ def product_source(src: CQSource, n: int) -> CQSource:
         )
     if n == 1:
         return src
-    probs, mats = product_stack(src.q_x, np.stack([s.entries for s in src.states]), n)
+    probs, mats = product_stack(src.q_x, stack_entries(src.states), n)
     labels, states = [], []
     for seq, mat in zip(itertools.product(range(src.size), repeat=n), mats):
         labels.append(product_label(src.alphabet[i] for i in seq))
@@ -547,7 +560,7 @@ def apply_encoder(src_n: CQSource, enc: StochasticChannel) -> EncodedSource:
     if enc.in_alphabet != src_n.alphabet:
         raise DimensionMismatchError("encoder input alphabet does not match the source")
     _, msg, p, states = encode_stack(
-        src_n.q_x[None], np.stack([s.entries for s in src_n.states])[None], enc.kernel[None]
+        src_n.q_x[None], stack_entries(src_n.states)[None], enc.kernel[None]
     )
     return EncodedSource(
         tuple(enc.out_alphabet[j] for j in msg.tolist()), p, tuple(DensityMatrix(s) for s in states)
@@ -585,6 +598,32 @@ def encoder_count(n: int, r1: float, seq_count: int):
     return w_size, num_encoders
 
 
+def encoder_chunks(w_size: int, seq_count: int, dim: int):
+    """All deterministic encoders of ``seq_count`` sequences into ``w_size``
+    messages in lexicographic order, in lists of one ``stack_step`` of
+    block-diagonal states of dimension min(w_size, seq_count) dim."""
+    assignments = itertools.product(range(w_size), repeat=seq_count)
+    step = stack_step(min(w_size, seq_count) * dim)
+    while chunk := list(itertools.islice(assignments, step)):
+        yield chunk
+
+
+def encoder_rows(assignments, q: np.ndarray):
+    """The (encoder, message) rows of deterministic encoders, given as tuples
+    of message indices, one per sequence of probability ``q``: each row's
+    encoder, its mass and its weights Q(x) E(w|x) (the input of
+    ``message_blocks``), encoders in order and messages ascending."""
+    a = np.asarray(assignments)
+    ordered = np.sort(a, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    enc = np.nonzero(first)[0]
+    members = a[enc] == ordered[first][:, None]
+    # each mass sums its members' Q(x) alone, as np.sum(q[members]) does
+    mass = la.row_sums(np.broadcast_to(q, members.shape), members)
+    return enc, mass, np.where(members, q, 0.0)
+
+
 def _encoder_betas(assignments, src_n: CQSource, rho1_entries: np.ndarray, eps: float) -> list:
     """Blockwise optimal type-II error of each deterministic encoder.
 
@@ -594,22 +633,12 @@ def _encoder_betas(assignments, src_n: CQSource, rho1_entries: np.ndarray, eps: 
     dropped), in increasing message order, form its null and p_w rho1 its
     alternative; encoders with equally many blocks are solved as one stack.
     """
-    a = np.asarray(assignments)
-    ordered = np.sort(a, axis=1)
-    first = np.ones(ordered.shape, dtype=bool)
-    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    enc = np.nonzero(first)[0]
-    members = a[enc] == ordered[first][:, None]  # one row per (encoder, message)
-    q = src_n.q_x
-    # each mass sums its members' Q(x) alone, as np.sum(q[members]) does
-    mass = la.row_sums(np.broadcast_to(q, members.shape), members)
-    kept, null_blocks = message_blocks(
-        np.where(members, q, 0.0), mass, np.stack([s.entries for s in src_n.states])
-    )
+    enc, mass, weights = encoder_rows(assignments, src_n.q_x)
+    kept, null_blocks = message_blocks(weights, mass, stack_entries(src_n.states))
     enc, mass = enc[kept], mass[kept]
     alt_blocks = mass[:, None, None] * rho1_entries
-    counts = np.bincount(enc, minlength=len(a))
-    betas = [None] * len(a)
+    counts = np.bincount(enc, minlength=len(assignments))
+    betas = [None] * len(assignments)
     d = rho1_entries.shape[-1]
     for b in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == b)
@@ -645,10 +674,8 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     src_n = product_source(src, n)
     w_size, num_encoders = encoder_count(n, r1, src_n.size)
     rho1_entries = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
-    assignments = itertools.product(range(w_size), repeat=src_n.size)
-    step = stack_step(min(w_size, src_n.size) * src_n.d_y)
     best_beta, best_assignment = None, None
-    while chunk := list(itertools.islice(assignments, step)):
+    for chunk in encoder_chunks(w_size, src_n.size, src_n.d_y):
         for assignment, beta in zip(chunk, _encoder_betas(chunk, src_n, rho1_entries, eps)):
             if best_beta is None or beta < best_beta:
                 best_beta, best_assignment = beta, assignment
@@ -741,9 +768,9 @@ def expurgate(test: TestFamily, encoded: EncodedSource, rho1_block: DensityMatri
         raise DimensionMismatchError("test and encoded source index different messages")
     msgs = list(encoded.messages)
     order, new_ops = expurgate_stack(
-        np.stack([test.operators[m].entries for m in msgs]),
+        stack_entries(test.operators[m] for m in msgs),
         encoded.p_w,
-        np.stack([s.entries for s in encoded.states]),
+        stack_entries(encoded.states),
         rho1_block.entries,
         eps_prime,
     )

@@ -144,6 +144,11 @@ def _as_array(a) -> np.ndarray:
     return a.entries if isinstance(a, (HermitianOperator, DensityMatrix)) else np.asarray(a, dtype=complex)
 
 
+def stack_entries(ops) -> np.ndarray:
+    """The entries of a sequence of operators as one (N, d, d) array."""
+    return np.stack([_as_array(op) for op in ops])
+
+
 def _as_dims(a):
     if isinstance(a, (HermitianOperator, DensityMatrix)):
         return a.subsystem_dims

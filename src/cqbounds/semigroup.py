@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import DimensionMismatchError, DomainError, PreconditionError, ValidationError
-from .operators import DensityMatrix, HermitianOperator
+from .operators import DensityMatrix, HermitianOperator, _as_array, _as_dims, tensor_all
 
 #: strict-positivity floor for arguments of negative-p norms
 POSITIVITY_FLOOR = 1e-12
@@ -60,10 +60,6 @@ class InequalityMargin:
         return self.margin / scale
 
 
-def _arr(a) -> np.ndarray:
-    return a.entries if isinstance(a, (HermitianOperator, DensityMatrix)) else np.asarray(a, dtype=complex)
-
-
 def weighted_lp_norm(x, p: float, sigma: DensityMatrix) -> float:
     """Weighted L_p (pseudo-)norm of x with respect to a full-rank state.
 
@@ -71,8 +67,8 @@ def weighted_lp_norm(x, p: float, sigma: DensityMatrix) -> float:
     """
     if p == 0.0:
         raise DomainError("p = 0 is outside the norm family")
-    x_arr = _arr(x)
-    s_arr = _arr(sigma)
+    x_arr = _as_array(x)
+    s_arr = _as_array(sigma)
     if x_arr.shape != s_arr.shape:
         raise DimensionMismatchError(f"operand dims {x_arr.shape[-1]} vs {s_arr.shape[-1]}")
     w_min = np.linalg.eigvalsh(x_arr)[..., 0]
@@ -105,7 +101,7 @@ def schatten_norm(x, p) -> float:
     Also takes stacks (..., d, d) of arrays, with one ``p`` or one per
     member, giving an array.
     """
-    vals = np.abs(np.linalg.eigvalsh(_arr(x)))
+    vals = np.abs(np.linalg.eigvalsh(_as_array(x)))
     p = np.broadcast_to(np.asarray(p, dtype=float), vals.shape[:-1])
     inf = np.isinf(p)
     i = la.first_member(~inf & (p <= 0.0))
@@ -117,55 +113,49 @@ def schatten_norm(x, p) -> float:
         lambda q, peak, total: peak if math.isinf(q) else total ** (1.0 / q), p, top, sums)
 
 
-def depolarize_heisenberg(x, t: float, spec: SemigroupSpec) -> HermitianOperator:
-    """Heisenberg-picture depolarizing map e^-t X + (1-e^-t) tr(sigma X) Id."""
+def _decay(t: float) -> float:
+    """e^-t, for a nonnegative time t."""
     if t < 0.0:
         raise DomainError(f"time must be nonnegative; got {t!r}")
-    x_arr = _arr(x)
-    s_arr = spec.invariant_state.entries
-    if x_arr.shape != s_arr.shape:
-        raise DimensionMismatchError(f"operand dims {x_arr.shape[0]} vs {s_arr.shape[0]}")
-    decay = math.exp(-t)
-    mean = la.inner_real(s_arr, x_arr)
-    out = decay * x_arr + (1.0 - decay) * mean * np.eye(x_arr.shape[0])
-    dims = x.subsystem_dims if isinstance(x, (HermitianOperator, DensityMatrix)) else None
+    return math.exp(-t)
+
+
+def _depolarize_sites(x_n, t: float, site_states, gamma: float = 1.0) -> HermitianOperator:
+    """x -> e^-t x + gamma (1-e^-t) tr_site(state x) o Id_site at every site."""
+    if gamma < 1.0:
+        raise DomainError(f"gamma must be >= 1; got {gamma!r}")
+    decay = _decay(t)
+    out = _as_array(x_n)
+    dims = _as_dims(x_n)
+    site_states = [_as_array(st) for st in site_states]
+    if len(dims) != len(site_states):
+        raise DimensionMismatchError(
+            f"operator has {len(dims)} subsystems, got {len(site_states)} site states"
+        )
+    if any(st.shape[0] != d for d, st in zip(dims, site_states)):
+        raise DimensionMismatchError("site state dimension mismatch")
+    gain = gamma * (1.0 - decay)
+    for site, state in enumerate(site_states):
+        out = decay * out + gain * la.site_contract(out, dims, site, state)
     return HermitianOperator(out, dims)
+
+
+def depolarize_heisenberg(x, t: float, spec: SemigroupSpec) -> HermitianOperator:
+    """Heisenberg-picture depolarizing map e^-t X + (1-e^-t) tr(sigma X) Id:
+    ``psi_map`` at gamma = 1."""
+    return psi_map(x, t, 1.0, spec.invariant_state)
 
 
 def depolarize_schrodinger(rho: DensityMatrix, t: float, spec: SemigroupSpec) -> DensityMatrix:
     """Schroedinger-picture map e^-t rho + (1-e^-t) sigma; fixes sigma."""
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative; got {t!r}")
-    decay = math.exp(-t)
+    decay = _decay(t)
     out = decay * rho.entries + (1.0 - decay) * spec.invariant_state.entries
     return DensityMatrix(out, rho.subsystem_dims)
 
 
-def _sitewise_affine(x_arr: np.ndarray, dims, site_states, decay: float, gain: float) -> np.ndarray:
-    """Apply x -> decay*x + gain*tr_site(state x) o Id_site at every site."""
-    out = x_arr
-    for site, state in enumerate(site_states):
-        out = decay * out + gain * la.site_contract(out, dims, site, _arr(state))
-    return out
-
-
 def tensor_depolarize(x_n, t: float, site_states) -> HermitianOperator:
     """Tensor product of single-site depolarizing maps, applied site by site."""
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative; got {t!r}")
-    x_arr = _arr(x_n)
-    dims = x_n.subsystem_dims if isinstance(x_n, (HermitianOperator, DensityMatrix)) else None
-    site_states = list(site_states)
-    if dims is None or len(dims) != len(site_states):
-        raise DimensionMismatchError(
-            f"operator has {len(dims) if dims else '?'} subsystems, got {len(site_states)} site states"
-        )
-    for d, st in zip(dims, site_states):
-        if _arr(st).shape[0] != d:
-            raise DimensionMismatchError("site state dimension mismatch")
-    decay = math.exp(-t)
-    out = _sitewise_affine(x_arr, dims, site_states, decay, 1.0 - decay)
-    return HermitianOperator(out, dims)
+    return _depolarize_sites(x_n, t, site_states)
 
 
 def psi_map(t_op, t: float, gamma: float, rho_y: DensityMatrix) -> HermitianOperator:
@@ -176,30 +166,19 @@ def psi_map(t_op, t: float, gamma: float, rho_y: DensityMatrix) -> HermitianOper
     """
     if gamma < 1.0:
         raise DomainError(f"gamma must be >= 1; got {gamma!r}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative; got {t!r}")
-    t_arr = _arr(t_op)
-    decay = math.exp(-t)
-    mean = la.inner_real(rho_y.entries, t_arr)
+    decay = _decay(t)
+    t_arr = _as_array(t_op)
+    s_arr = _as_array(rho_y)
+    if t_arr.shape != s_arr.shape:
+        raise DimensionMismatchError(f"operand dims {t_arr.shape[0]} vs {s_arr.shape[0]}")
+    mean = la.inner_real(s_arr, t_arr)
     out = decay * t_arr + gamma * (1.0 - decay) * mean * np.eye(t_arr.shape[0])
-    dims = t_op.subsystem_dims if isinstance(t_op, (HermitianOperator, DensityMatrix)) else None
-    return HermitianOperator(out, dims)
+    return HermitianOperator(out, _as_dims(t_op))
 
 
 def psi_map_sites(t_op, t: float, gamma: float, rho_y: DensityMatrix) -> HermitianOperator:
     """Tensor power of the amplified map across every subsystem of ``t_op``."""
-    if gamma < 1.0:
-        raise DomainError(f"gamma must be >= 1; got {gamma!r}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative; got {t!r}")
-    t_arr = _arr(t_op)
-    dims = t_op.subsystem_dims if isinstance(t_op, (HermitianOperator, DensityMatrix)) else (t_arr.shape[0],)
-    d = rho_y.dim
-    if any(dd != d for dd in dims):
-        raise DimensionMismatchError("every subsystem must match the reference state dimension")
-    decay = math.exp(-t)
-    out = _sitewise_affine(t_arr, dims, [rho_y] * len(dims), decay, gamma * (1.0 - decay))
-    return HermitianOperator(out, dims)
+    return _depolarize_sites(t_op, t, [rho_y] * len(_as_dims(t_op)), gamma)
 
 
 def rhc_time_threshold(p: float, q: float) -> float:
@@ -221,13 +200,10 @@ def check_rhc(g_n, site_states, p: float, q: float, t: float) -> InequalityMargi
             f"time {t!r} below the hypercontractive threshold {threshold!r}"
         )
     site_states = list(site_states)
-    g_min = float(np.min(np.linalg.eigvalsh(_arr(g_n))))
+    g_min = float(np.min(np.linalg.eigvalsh(_as_array(g_n))))
     if g_min <= POSITIVITY_FLOOR:
         raise DomainError(f"G must be strictly positive; smallest eigenvalue {g_min:.3e}")
-    joint = _arr(site_states[0])
-    for st in site_states[1:]:
-        joint = np.kron(joint, _arr(st))
-    sigma_joint = DensityMatrix(joint, tuple(_arr(s).shape[0] for s in site_states))
+    sigma_joint = DensityMatrix(tensor_all(site_states))
     moved = tensor_depolarize(g_n, t, site_states)
     lhs = weighted_lp_norm(moved, p, sigma_joint)
     rhs = weighted_lp_norm(g_n, q, sigma_joint)
@@ -244,7 +220,7 @@ def check_alt(a, b, r) -> InequalityMargin:
     i = la.first_member(~((0.0 <= r_arr) & (r_arr <= 1.0)))
     if i is not None:
         raise DomainError(f"r must lie in [0,1]; got {float(r_arr.flat[i])!r}")
-    a_arr, b_arr = _arr(a), _arr(b)
+    a_arr, b_arr = _as_array(a), _as_array(b)
     b_half = la.sqrtm_psd(b_arr)
     inner = la.hermitize(b_half @ a_arr @ b_half, tol=1e-8)
     lhs = la.trace_real(la.powm_psd(inner, r_arr))
@@ -271,13 +247,13 @@ def check_reverse_holder(a, b, p: float, sigma: DensityMatrix) -> InequalityMarg
         raise DomainError("p = 0 is not admissible")
     if p >= 1.0:
         raise DomainError(f"reverse Hoelder needs p < 1; got {p!r}")
-    b_min = np.linalg.eigvalsh(_arr(b))[..., 0]
+    b_min = np.linalg.eigvalsh(_as_array(b))[..., 0]
     i = la.first_member(b_min <= POSITIVITY_FLOOR)
     if i is not None:
         raise DomainError(f"B must be strictly positive; smallest eigenvalue {b_min.flat[i]:.3e}")
     p_hat = holder_conjugate(p)
-    s_half = la.sqrtm_psd(_arr(sigma))
-    lhs = la.trace_real(s_half @ _arr(a) @ s_half @ _arr(b))
+    s_half = la.sqrtm_psd(_as_array(sigma))
+    lhs = la.trace_real(s_half @ _as_array(a) @ s_half @ _as_array(b))
     rhs = weighted_lp_norm(a, p, sigma) * weighted_lp_norm(b, p_hat, sigma)
     return InequalityMargin(lhs, rhs, f"rholder p={p!r}")
 
@@ -302,7 +278,7 @@ def check_reverse_alt(a, b, r, a_exp, b_exp) -> InequalityMargin:
             f"exponent relation 1/(2r) = 1/2 + 1/a + 1/b violated for "
             f"r={float(r.flat[i])!r}, a={float(a_exp.flat[i])!r}, b={float(b_exp.flat[i])!r}"
         )
-    a_arr, b_arr = _arr(a), _arr(b)
+    a_arr, b_arr = _as_array(a), _as_array(b)
     b_rhalf = la.powm_psd(b_arr, r / 2.0)
     core = la.hermitize(b_rhalf @ la.powm_psd(a_arr, r) @ b_rhalf, tol=1e-8)
     term = la.trace_real(core)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,10 @@ from cqbounds import (
     theta_n_lower,
     verify_key_inequality,
 )
-from cqbounds.bounds import _sequence_weights_states
+from cqbounds.hyptest import product_stack
+from cqbounds.model_io import load_model
+
+EXAMPLE_MODEL = Path(__file__).resolve().parents[1] / "model.example.json"
 
 
 def _src(seed0=84, seed1=85, q=(0.5, 0.5), floor=0.02):
@@ -313,9 +318,21 @@ def test_fq_point():
 
 def test_sequence_weights_states_order():
     src = _src(q=(0.3, 0.7))
-    labels, weights, mats = _sequence_weights_states(src, src.states, 2)
-    assert labels[0] == (0, 0) and labels[-1] == (1, 1)
+    stack = np.stack([s.entries for s in src.states])
+    weights, mats = product_stack(src.q_x, stack, 2)
+    # sequences in lexicographic order: (0,0), (0,1), (1,0), (1,1)
+    for k, (a, b) in enumerate(itertools.product(range(2), repeat=2)):
+        assert weights[k] == src.q_x[a] * src.q_x[b]
+        np.testing.assert_allclose(mats[k], np.kron(stack[a], stack[b]))
     assert abs(weights[0] - 0.09) < 1e-12
     np.testing.assert_allclose(
         mats[3], np.kron(src.states[1].entries, src.states[1].entries)
     )
+
+
+def test_example_model_values_are_pinned():
+    # recorded values: code that only restructures how theta and the dual
+    # bound are computed must not move them
+    src, alt = load_model(EXAMPLE_MODEL)
+    assert theta_n_lower(src, alt, 2, 0.5) == pytest.approx(0.10273342072056227, rel=1e-12)
+    assert source_coding_first_order(src, 0.3) == pytest.approx(0.5106321779435555, rel=1e-12)

@@ -21,7 +21,7 @@ from cqbounds import (
     renyi_relative_entropy,
     von_neumann_entropy,
 )
-from cqbounds._linalg import expm_herm, logm_psd
+from cqbounds._linalg import entropy_psd, expm_herm, logm_psd
 from cqbounds.operators import apply_kraus, random_channel_kraus
 
 LN2 = math.log(2.0)
@@ -45,6 +45,13 @@ def test_von_neumann_entropy_examples():
     assert abs(mixed.bits - 1.0) < 1e-14
     skew = von_neumann_entropy(DensityMatrix(np.diag([0.75, 0.25])))
     assert abs(skew.nats - H_QUARTER) < 1e-14
+
+
+def test_von_neumann_entropy_is_the_spectral_entropy():
+    states = [random_density(d, seed) for d in (1, 2, 3, 4) for seed in (30, 31)]
+    states += [DensityMatrix(np.diag([1.0, 0.0])), _bell()]
+    for rho in states:
+        assert von_neumann_entropy(rho).nats == max(0.0, entropy_psd(rho.entries))
 
 
 def test_relative_entropy_examples():

@@ -129,6 +129,10 @@ def test_errors_of_test_trivial_cases():
     assert abs(half.alpha - 0.5) < 1e-12 and abs(half.beta - 0.5) < 1e-12
     with pytest.raises(DomainError):
         errors_of_test(HermitianOperator(2.0 * np.eye(2)), rho0, rho1)
+    with pytest.raises(DimensionMismatchError):
+        errors_of_test(HermitianOperator(np.eye(4) / 2), rho0, rho1)
+    with pytest.raises(DimensionMismatchError):
+        errors_of_test(HermitianOperator(np.eye(2)), rho0, random_density(3, 10))
 
 
 def test_product_source():

@@ -5,6 +5,7 @@ import pytest
 
 from cqbounds import (
     DensityMatrix,
+    DimensionMismatchError,
     DomainError,
     HermitianOperator,
     PreconditionError,
@@ -134,9 +135,10 @@ def test_psi_map_contract():
     rho_y = random_density(2, 50, min_eig_floor=0.1)
     t_op = random_psd(2, 51)
     np.testing.assert_allclose(psi_map(t_op, 0.0, 2.0, rho_y).entries, t_op.entries)
-    gamma_one = psi_map(t_op, 0.8, 1.0, rho_y)
-    direct = depolarize_heisenberg(t_op, 0.8, SemigroupSpec(rho_y))
-    np.testing.assert_allclose(gamma_one.entries, direct.entries, atol=1e-14)
+    for t in (0.0, 0.8, 2.5):
+        gamma_one = psi_map(t_op, t, 1.0, rho_y)
+        direct = depolarize_heisenberg(t_op, t, SemigroupSpec(rho_y))
+        assert np.array_equal(gamma_one.entries, direct.entries)
     # trace identity tr(rho Psi_t(T)) = (e^-t + gamma(1-e^-t)) tr(rho T)
     gamma, t = 1.7, 0.6
     moved = psi_map(t_op, t, gamma, rho_y)
@@ -159,6 +161,26 @@ def test_psi_map_sites_matches_tensor_factorization():
     np.testing.assert_allclose(moved.entries, np.kron(fa.entries, fb.entries), atol=1e-12)
 
 
+def test_psi_map_sites_at_gamma_one_is_tensor_depolarize_bitwise():
+    rho_y = random_density(2, 63, min_eig_floor=0.1)
+    for n in (1, 2, 3):
+        t_op = HermitianOperator(random_psd(2**n, 64 + n).entries, (2,) * n)
+        amplified = psi_map_sites(t_op, 0.7, 1.0, rho_y)
+        plain = tensor_depolarize(t_op, 0.7, [rho_y] * n)
+        assert np.array_equal(amplified.entries, plain.entries)
+        assert amplified.subsystem_dims == plain.subsystem_dims == (2,) * n
+
+
+def test_depolarizing_maps_reject_mismatched_dimensions():
+    rho_y = random_density(2, 66, min_eig_floor=0.1)
+    with pytest.raises(DimensionMismatchError):
+        psi_map(random_psd(4, 67), 0.5, 1.5, rho_y)
+    with pytest.raises(DimensionMismatchError):
+        psi_map_sites(HermitianOperator(np.eye(9), (3, 3)), 0.5, 1.5, rho_y)
+    with pytest.raises(DimensionMismatchError):
+        tensor_depolarize(HermitianOperator(np.eye(4), (2, 2)), 0.5, [rho_y])
+
+
 def test_check_rhc_contract():
     sigma = random_density(2, 60, min_eig_floor=0.1)
     eye = HermitianOperator(np.eye(2))
@@ -170,6 +192,8 @@ def test_check_rhc_contract():
     assert abs(rhc_time_threshold(-1.0, 0.5) - math.log(4.0)) < 1e-15
     with pytest.raises(PreconditionError):
         check_rhc(g, [sigma], -1.0, 0.5, math.log(4.0) - 0.01)
+    with pytest.raises(DomainError):
+        check_rhc(g, [], -1.0, 0.5, math.log(4.0))
 
 
 def test_check_rhc_three_sites():

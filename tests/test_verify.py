@@ -222,3 +222,31 @@ def test_stacked_suite_rows_match_single_instance_rebuild(suite):
 def test_stacked_suite_with_no_instances(suite):
     result = vf.run_suite(suite, SEED, 0)
     assert result.rows == () and result.passed
+
+
+#: the fixed-instance suites and the lengths of their instance lists
+FIXED_SUITES = {"np-trend": 3, "single-letter": 1, "soundness": 3, "sandwich": 3}
+
+
+def test_fixed_suites_default_to_their_full_lists():
+    assert {s: vf.DEFAULT_INSTANCES[s] for s in FIXED_SUITES} == FIXED_SUITES
+
+
+@pytest.mark.parametrize("suite", sorted(FIXED_SUITES))
+def test_fixed_suite_with_no_instances(suite):
+    result = vf.run_suite(suite, SEED, 0)
+    assert result.rows == () and result.passed
+
+
+def test_fixed_suite_budget_takes_a_prefix():
+    full = vf.run_suite("np-trend", SEED)
+    assert len(full.rows) == 3
+    assert _text(vf.run_suite("np-trend", SEED, 2).rows) == _text(full.rows[:2])
+    assert _text(vf.run_suite("np-trend", SEED, 8).rows) == _text(full.rows)
+
+
+def test_soundness_budget_of_one_runs_source_zero_only():
+    result = vf.run_suite("soundness", SEED, 1)
+    source = result.columns.index("source")
+    assert result.rows and {row[source] for row in result.rows} == {0}
+    assert result.summary["instances"] == len(result.rows)
