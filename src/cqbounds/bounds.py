@@ -11,7 +11,6 @@ rather than silently extrapolated.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -44,16 +43,16 @@ from .operators import (
 from .reports import BoundReport
 from .semigroup import InequalityMargin, psi_map_sites
 
-#: Lagrangian weight grid for the rate-constrained supremum
-C_GRID = tuple(1.0 + 0.25 * k for k in range(61))  # 1, 1.25, ..., 16
+#: the dual search doubles the Lagrangian weight c up to this value; past it
+#: the c -> infinity endpoint I(X;Y) decides
+_C_CAP = 2.0**20
+#: the dual search stops once its bracket in s = 1/c is this narrow
+_S_TOL = 1e-7
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: delta_star(c) values by (source, c, u_size, multistarts), oldest dropped
-#: first beyond this many entries
-_DELTA_STAR_CACHE_SIZE = 4096
+#: (delta_star(c), I(U*_c;X)) pairs by (source, c, u_size, multistarts),
+#: oldest dropped first beyond this many entries
+_DELTA_STAR_CACHE_SIZE = 256
 _delta_star_cache: dict = {}
-_delta_star_lock = threading.Lock()
 
 
 def source_entropy(src: CQSource) -> float:
@@ -154,8 +153,9 @@ def stein_independence_objective(src: CQSource, chan: StochasticChannel):
 # rate-constrained bottleneck supremum
 
 
-def _delta_star_value(src: CQSource, c: float, u_size: int, multistarts: int) -> float:
-    """delta_star(c) of ``src`` against its average output, computed once.
+def _delta_star_value(src: CQSource, c: float, u_size: int, multistarts: int):
+    """(delta_star(c), I(U*_c;X)) of ``src`` against its average output,
+    computed once; U*_c is the maximizing channel at c.
 
     delta_star(c) does not depend on the rate, so every rate, command and
     sweep point on one source shares the same curve; the solver is
@@ -169,57 +169,59 @@ def _delta_star_value(src: CQSource, c: float, u_size: int, multistarts: int) ->
         int(u_size),
         int(multistarts),
     )
-    with _delta_star_lock:
-        hit = _delta_star_cache.get(key)
-    if hit is not None:
-        return hit
-    value = delta_star(
-        src.q_x, src.states, src.rho_y, c, u_size, multistarts=multistarts
-    ).value
-    with _delta_star_lock:
+    hit = _delta_star_cache.get(key)
+    if hit is None:
+        res = delta_star(src.q_x, src.states, src.rho_y, c, u_size, multistarts=multistarts)
+        i_ux = chain_informations(src.q_x, stack_entries(src.states), src.rho_y.entries,
+                                  res.best.p_u_given_x.kernel)[1]
+        hit = (res.value, i_ux)
         if len(_delta_star_cache) >= _DELTA_STAR_CACHE_SIZE:
             del _delta_star_cache[next(iter(_delta_star_cache))]
-        _delta_star_cache[key] = value
-    return value
-
-
-def _golden_min(fn, lo: float, hi: float, iters: int = 18):
-    """Golden-section minimization; returns the best sampled (x, f(x))."""
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    best = min((f1, c1), (f2, c2))
-    for _ in range(iters):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = fn(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = fn(c2)
-        best = min(best, (f1, c1), (f2, c2))
-    return best[1], best[0]
+        _delta_star_cache[key] = hit
+    return hit
 
 
 def _lagrangian_min(src: CQSource, offset: float, u_size: int | None, multistarts: int):
-    """inf over c >= 1 of (delta_star(c) + offset)/c and the curve it came from.
+    """inf over c >= 1 of L(c) = (delta_star(c) + offset)/c, with the
+    c -> infinity endpoint I(X;Y), and the curve it came from.
 
-    Evaluated on the weight grid {1, 1.25, ..., 16} with golden-section
-    refinement around the grid argmin; returns (value, [(c, value at c)]).
+    In s = 1/c, L is convex with slope offset - I(U*_c;X) (envelope theorem),
+    so its minimum lies where the maximizer's I(U;X) crosses the offset.  The
+    search stops at c = 1 if the slope there is <= 0; otherwise it doubles c
+    until the slope changes sign (up to ``_C_CAP``, past which the endpoint
+    decides) and narrows that bracket in s by regula falsi with the Illinois
+    modification, bisecting when the secant point is not strictly inside.
+    Returns (value, [(c, L(c)) in evaluation order] + [(inf, I(X;Y))]); the
+    value is the least entry of the curve.
     """
     u = u_size if u_size is not None else src.size + 1
+    curve = []
 
-    def lagrangian(c):
-        return (_delta_star_value(src, c, u, multistarts) + offset) / c
+    def slope(s):
+        c = 1.0 / s
+        value, i_ux = _delta_star_value(src, c, u, multistarts)
+        curve.append((c, (value + offset) / c))
+        return offset - i_ux
 
-    curve = [(c, lagrangian(c)) for c in C_GRID]
-    best_c, best_val = min(curve, key=lambda cv: (cv[1], cv[0]))
-    lo = max(C_GRID[0], best_c - 0.25)
-    hi = min(C_GRID[-1], best_c + 0.25)
-    _, refined = _golden_min(lagrangian, lo, hi)
-    return min(best_val, refined), curve
+    lo, g_lo = 1.0, slope(1.0)
+    hi, g_hi = lo, g_lo
+    while g_lo > 0.0 and lo > 1.0 / _C_CAP:
+        hi, g_hi = lo, g_lo
+        lo /= 2.0
+        g_lo = slope(lo)
+    moved = 0  # the end the last step moved: -1 lo, 1 hi
+    while g_lo < 0.0 < g_hi and hi - lo > _S_TOL:
+        s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        g = slope(s)
+        # Illinois: an end kept twice in a row has its slope halved
+        if g <= 0.0:
+            lo, g_lo, g_hi, moved = s, g, g_hi / 2.0 if moved < 0 else g_hi, -1
+        else:
+            hi, g_hi, g_lo, moved = s, g, g_lo / 2.0 if moved > 0 else g_lo, 1
+    curve.append((math.inf, source_mutual_information(src)))
+    return min(v for _, v in curve), curve
 
 
 def bottleneck_sup_constrained(src: CQSource, r: float, u_size: int | None = None,
@@ -227,17 +229,17 @@ def bottleneck_sup_constrained(src: CQSource, r: float, u_size: int | None = Non
     """sup of I(U;Y) subject to I(U;X) <= r, through its Lagrangian relaxation
     inf over c >= 1 of (delta_star(c) + r)/c.
 
-    The Lagrangian is minimized by ``_lagrangian_min``, with the c -> infinity
-    endpoint whose Lagrangian value is I(X;Y) added; that endpoint makes the
-    value exact (the identity map attains it) whenever r >= H(X).  Returns
-    (value, lagrangian curve); the curve ends with the (inf, I(X;Y)) entry.
+    At r >= H(X) the identity map is feasible and optimal, and the value is
+    I(X;Y) with no solve.  Below, ``_lagrangian_min`` finds the optimal c.
+    Returns (value, lagrangian curve); the curve ends with the (inf, I(X;Y))
+    entry.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"rate must be finite and nonnegative; got {r!r}")
-    value, curve = _lagrangian_min(src, r, u_size, multistarts)
-    limit = source_mutual_information(src)
-    curve.append((math.inf, limit))
-    return min(value, limit), curve
+    if r >= source_entropy(src):
+        limit = source_mutual_information(src)
+        return limit, [(math.inf, limit)]
+    return _lagrangian_min(src, r, u_size, multistarts)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +399,14 @@ def source_coding_first_order(src: CQSource, log_w1: float,
     dual sup over c >= 1 of S(avg) - (delta_star(c) + log_w1)/c.
 
     At log_w1 >= H(X) the chain U = X is feasible and optimal, giving H(Y|X)
-    exactly; at log_w1 = 0 the value is S(avg).
+    with no solve; at log_w1 = 0 the value is S(avg).  Below H(X) the dual is
+    minimized by ``_lagrangian_min``, as for ``bottleneck_sup_constrained``.
     """
     if not 0.0 <= log_w1 < math.inf:
         raise DomainError(f"log_w1 must be finite and nonnegative; got {log_w1!r}")
-    value = la.entropy_psd(src.rho_y.entries) - _lagrangian_min(src, log_w1, u_size, multistarts)[0]
     if log_w1 >= source_entropy(src) - 1e-12:
-        value = max(value, source_conditional_output_entropy(src))
-    return value
+        return source_conditional_output_entropy(src)
+    return la.entropy_psd(src.rho_y.entries) - _lagrangian_min(src, log_w1, u_size, multistarts)[0]
 
 
 def source_coding_bound(src: CQSource, eps: float, n: int, log_w1: float,

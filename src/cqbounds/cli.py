@@ -39,7 +39,7 @@ from .hyptest import (
     product_source,
 )
 from .model_io import load_model
-from .operators import DensityMatrix, HermitianOperator, tensor_all
+from .operators import DensityMatrix, tensor_all
 
 COMMANDS = (
     "entropy", "beta", "delta", "delta-star", "theta",
@@ -151,18 +151,19 @@ def _cmd_beta(args, report: Report):
         report.add("exponent_estimate", -math.log(max(beta, 1e-300)) / args.n, "nats")
 
 
-def _nu_for(src, choice: str):
+def _reference_state(src, choice: str) -> DensityMatrix:
+    """The reference state named on the command line: the average output
+    ``avg`` or the maximally mixed state ``mixed``."""
     if choice == "avg":
-        return HermitianOperator(src.rho_y.entries)
+        return src.rho_y
     if choice == "mixed":
-        d = src.d_y
-        return HermitianOperator(np.eye(d) / d)
+        return DensityMatrix(np.eye(src.d_y) / src.d_y)
     raise ValidationError(f"unknown reference state {choice!r} (use avg or mixed)")
 
 
 def _cmd_delta(args, report: Report):
     src, _ = load_model(args.model)
-    nu = _nu_for(src, args.nu)
+    nu = _reference_state(src, args.nu)
     inst = bn.DeltaInstance(src.q_x, src.states, nu, args.c)
     res = bn.delta(inst)
     report.add("delta", res.value, "nats")
@@ -172,7 +173,7 @@ def _cmd_delta(args, report: Report):
 
 def _cmd_delta_star(args, report: Report):
     src, _ = load_model(args.model)
-    nu = _nu_for(src, args.nu)
+    nu = _reference_state(src, args.nu)
     u_size = args.u_size if args.u_size else src.size + 1
     res = bn.delta_star(src.q_x, src.states, nu, args.c, u_size)
     report.add("delta_star", res.value, "nats")
@@ -211,13 +212,7 @@ def _cmd_sc_bound(args, report: Report):
 
 def _cmd_image_size(args, report: Report):
     src, _ = load_model(args.model)
-    sigma_choice = args.sigma
-    if sigma_choice == "avg":
-        sigma = src.rho_y
-    elif sigma_choice == "mixed":
-        sigma = DensityMatrix(np.eye(src.d_y) / src.d_y)
-    else:
-        raise ValidationError(f"unknown reference state {sigma_choice!r}")
+    sigma = _reference_state(src, args.sigma)
     rep = bd.image_size_bound_ii(
         src.q_x, src, sigma, args.c, args.delta, args.eps, args.n, args.u_size or None
     )

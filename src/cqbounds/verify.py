@@ -105,7 +105,7 @@ def _groups(keys):
     return groups.items()
 
 
-def run_alt(seed: int, instances: int = 500) -> SuiteResult:
+def run_alt(seed: int, instances: int) -> SuiteResult:
     draws = []
     for i in range(instances):
         rng = _rng_for(seed, "alt", i)
@@ -125,7 +125,7 @@ def run_alt(seed: int, instances: int = 500) -> SuiteResult:
     return _finish("alt", cols, rows, [r[-1] for r in rows], 1e-10)
 
 
-def run_reverse_holder(seed: int, instances: int = 500) -> SuiteResult:
+def run_reverse_holder(seed: int, instances: int) -> SuiteResult:
     p_choices = (0.5, -1.0, 0.25, -0.5, 0.75, -2.0)
     draws = []
     for i in range(instances):
@@ -146,7 +146,7 @@ def run_reverse_holder(seed: int, instances: int = 500) -> SuiteResult:
     return _finish("reverse-holder", cols, rows, [r[-1] for r in rows], 1e-10)
 
 
-def run_reverse_alt(seed: int, instances: int = 500) -> SuiteResult:
+def run_reverse_alt(seed: int, instances: int) -> SuiteResult:
     draws = []
     for i in range(instances):
         rng = _rng_for(seed, "reverse-alt", i)
@@ -172,7 +172,7 @@ def run_reverse_alt(seed: int, instances: int = 500) -> SuiteResult:
     return _finish("reverse-alt", cols, rows, [r[-1] for r in rows], 1e-10)
 
 
-def run_rhc(seed: int, instances: int = 500) -> SuiteResult:
+def run_rhc(seed: int, instances: int) -> SuiteResult:
     pq_choices = ((-1.0, 0.5), (0.3, 0.7), (-0.5, -0.1), (0.1, 0.9), (-2.0, 0.25))
 
     def one(i):
@@ -210,7 +210,7 @@ def _seed_columns(seed: int, suite: str, instances: int, count: int):
     return [list(col) for col in zip(*per_instance)] if per_instance else [[]] * count
 
 
-def run_entropy_dp(seed: int, instances: int = 1000) -> SuiteResult:
+def run_entropy_dp(seed: int, instances: int) -> SuiteResult:
     alphas = (1.0, 0.3, 0.5, 0.9)  # 1.0 marks the relative entropy itself
     rho_seeds, sig_seeds, kraus_seeds = _seed_columns(seed, "entropy-dp", instances, 3)
     rho = random_density_stack(2, rho_seeds, min_eig_floor=0.01)
@@ -233,7 +233,7 @@ def run_entropy_dp(seed: int, instances: int = 1000) -> SuiteResult:
     return _finish("entropy-dp", cols, rows, [r[-1] for r in rows], 1e-8)
 
 
-def run_entropy_var(seed: int, instances: int = 500) -> SuiteResult:
+def run_entropy_var(seed: int, instances: int) -> SuiteResult:
     """Dominance of the variational value and equality at its maximizer."""
     rho_seeds, sig_seeds, g_seeds = _seed_columns(seed, "entropy-var", instances, 3)
     rho = random_density_stack(2, rho_seeds, min_eig_floor=0.05)
@@ -252,7 +252,7 @@ def run_entropy_var(seed: int, instances: int = 500) -> SuiteResult:
     return _finish("entropy-var", cols, rows, [r[-1] for r in rows], 1e-9)
 
 
-def run_renyi_limit(seed: int, instances: int = 200) -> SuiteResult:
+def run_renyi_limit(seed: int, instances: int) -> SuiteResult:
     rho_seeds, sig_seeds = _seed_columns(seed, "renyi-limit", instances, 2)
     rho = random_density_stack(2, rho_seeds, min_eig_floor=0.1)
     sig = random_density_stack(2, sig_seeds, min_eig_floor=0.1)
@@ -359,7 +359,7 @@ def _span_weights(r0: np.ndarray, r1: np.ndarray, ts: np.ndarray):
     return a0, b0, c1, d1
 
 
-def run_np_oracle(seed: int, instances: int = 200) -> SuiteResult:
+def run_np_oracle(seed: int, instances: int) -> SuiteResult:
     draws = []
     for i in range(instances):
         rng = _rng_for(seed, "np-oracle", i)
@@ -385,7 +385,7 @@ def run_np_oracle(seed: int, instances: int = 200) -> SuiteResult:
 _TREND_SEEDS = ((202, 203), (232, 233), (240, 241))
 
 
-def run_np_trend(seed: int, instances: int = len(_TREND_SEEDS)) -> SuiteResult:
+def run_np_trend(seed: int, instances: int) -> SuiteResult:
     rows = []
     for i, (s0, s1) in enumerate(_TREND_SEEDS[:max(instances, 0)]):
         rho = random_density(2, s0, min_eig_floor=0.1)
@@ -415,7 +415,7 @@ def _random_cq_source(rng, x_size: int, d_y: int, floor: float = 0.05) -> ht.CQS
     return ht.CQSource([str(k) for k in range(x_size)], q, states)
 
 
-def run_key_inequality(seed: int, instances: int = 500) -> SuiteResult:
+def run_key_inequality(seed: int, instances: int) -> SuiteResult:
     c_choices = (1.5, 2.0)
     t_choices = (0.1, 0.5, 1.0)
 
@@ -446,7 +446,7 @@ def run_key_inequality(seed: int, instances: int = 500) -> SuiteResult:
     return _finish("key-inequality", cols, rows, [r[-1] for r in rows], 1e-6)
 
 
-def run_image_size(seed: int, instances: int = 500) -> SuiteResult:
+def run_image_size(seed: int, instances: int) -> SuiteResult:
     """Single-test image-size margins over random measures, tests, and
     trade-off weights at blocklengths up to 3."""
 
@@ -476,7 +476,7 @@ def run_image_size(seed: int, instances: int = 500) -> SuiteResult:
     return _finish("image-size", cols, rows, [r[-1] for r in rows], 1e-6)
 
 
-def run_expurgation(seed: int, instances: int = 200) -> SuiteResult:
+def run_expurgation(seed: int, instances: int) -> SuiteResult:
     """Expurgation guarantees, recomputed explicitly, on random families.
 
     Each instance is a random binary-qubit source at n = 2 under a random
@@ -548,7 +548,7 @@ def run_expurgation(seed: int, instances: int = 200) -> SuiteResult:
 # bottleneck machinery suite
 
 
-def run_bottleneck(seed: int, instances: int = 12) -> SuiteResult:
+def run_bottleneck(seed: int, instances: int) -> SuiteResult:
     c_choices = (1.0, 1.5, 2.0)
 
     def one(i):
@@ -601,7 +601,7 @@ def run_bottleneck(seed: int, instances: int = 12) -> SuiteResult:
 _SINGLE_LETTER_SEEDS = (84, 85)
 
 
-def run_single_letter(seed: int, instances: int = 1, n: int = 8) -> SuiteResult:
+def run_single_letter(seed: int, instances: int, n: int = 8) -> SuiteResult:
     rows = []
     if instances >= 1:
         s0 = random_density(2, _SINGLE_LETTER_SEEDS[0], min_eig_floor=0.02)
@@ -631,7 +631,7 @@ def _fixed_source(idx: int) -> ht.CQSource:
     return ht.CQSource(["0", "1"], q, states)
 
 
-def run_soundness(seed: int, instances: int = len(_SOUNDNESS_SOURCES)) -> SuiteResult:
+def run_soundness(seed: int, instances: int) -> SuiteResult:
     """Brute-force exponents never exceed the formally evaluated bound, and
     the single-test image-size bound holds on the same instances.
 
@@ -682,7 +682,7 @@ def run_soundness(seed: int, instances: int = len(_SOUNDNESS_SOURCES)) -> SuiteR
     return _finish("soundness", cols, rows, [r[-1] for r in rows], 1e-6)
 
 
-def run_sandwich(seed: int, instances: int = len(_SOUNDNESS_SOURCES)) -> SuiteResult:
+def run_sandwich(seed: int, instances: int) -> SuiteResult:
     """At rates above H(X) the constrained supremum meets I(X;Y), and the
     n = 1 encoded divergence with an identity encoder meets it exactly.  An
     instance is one source with its two rows."""

@@ -31,8 +31,11 @@ from cqbounds import (
     theta_n_lower,
     verify_key_inequality,
 )
+from cqbounds import bounds
+from cqbounds.bottleneck import delta_star
 from cqbounds.hyptest import product_stack
 from cqbounds.model_io import load_model
+from cqbounds.verify import _fixed_source
 
 EXAMPLE_MODEL = Path(__file__).resolve().parents[1] / "model.example.json"
 
@@ -117,6 +120,38 @@ def test_bottleneck_sup_constrained_endpoints():
     val, curve = bottleneck_sup_constrained(src, hx + 0.1, 3, multistarts=8)
     assert abs(val - source_mutual_information(src)) < 1e-5
     assert curve[-1][0] == math.inf
+
+
+def test_bottleneck_sup_finds_optimum_beyond_c_16():
+    # the optimal weight for this source and rate lies near c = 20: a search
+    # that stops at c = 16 returns (delta_star(16) + r)/16 instead
+    src = _fixed_source(2)
+    r = math.log(1.5)
+    val, _ = bottleneck_sup_constrained(src, r, 3)
+    at_16 = (delta_star(src.q_x, src.states, src.rho_y, 16.0, 3, multistarts=16).value + r) / 16.0
+    assert val < at_16 - 1e-4
+
+
+def test_closed_forms_at_full_rate_need_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("delta_star solved at a rate >= H(X)")
+
+    monkeypatch.setattr(bounds, "delta_star", no_solve)
+    monkeypatch.setattr(bounds, "_delta_star_cache", {})
+    src = _src()
+    hx = source_entropy(src)
+    for r in (hx, hx + 0.1):
+        val, curve = bottleneck_sup_constrained(src, r, 3)
+        assert val == source_mutual_information(src)
+        assert curve == [(math.inf, val)]
+        assert source_coding_first_order(src, r, 3) == source_conditional_output_entropy(src)
+
+
+def test_dual_search_evaluates_few_points():
+    src, _ = load_model(EXAMPLE_MODEL)
+    _, curve = bottleneck_sup_constrained(src, 0.3)
+    assert curve[-1][0] == math.inf
+    assert len(curve) - 1 <= 16
 
 
 def test_bottleneck_sup_monotone_in_rate():

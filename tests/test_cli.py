@@ -201,6 +201,18 @@ def test_cli_rejects_non_finite_weights_and_rates(model_path, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["delta", "--c", "1.5", "--nu", "bogus"],
+    ["image-size", "--c", "1.0", "--delta", "0.5", "--eps", "0.9", "--n", "100",
+     "--sigma", "bogus"],
+])
+def test_cli_unknown_reference_state_exits_2(model_path, tmp_path, capsys, argv):
+    out = tmp_path / "r.txt"
+    assert main(argv + ["--model", model_path, "--out", str(out)]) == 2
+    assert "unknown reference state 'bogus' (use avg or mixed)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["beta", "--n", "3", "--eps", "0.3", "--r1", "1000"],
     ["theta", "--n", "2", "--r1", "1000"],
 ])
