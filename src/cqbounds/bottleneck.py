@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import _linalg as la
-from .config import KERNEL_OVERLAP_TOL, SUPPORT_TOL, TYPICAL_ENUM_CAP
+from .config import KERNEL_OVERLAP_TOL, STACK_BYTES, SUPPORT_TOL, TYPICAL_ENUM_CAP
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -48,6 +48,27 @@ _ROW_MASS_TOL = 1e-14
 MAX_DELTA_SUPPORT = 256
 
 
+def _check_delta_input(mu, states, nu, c: float, n: int = 1):
+    """Reject an input of Delta(mu, nu, c) over the n-letter products of
+    ``states``: mu needs |X|^n nonnegative entries of total mass at most 1,
+    c must be positive and finite, and nu full rank on the n-letter space."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.shape[0] != len(states) ** n:
+        raise ValidationError(f"mu has shape {mu.shape}; expected |X|^n = {len(states) ** n} entries")
+    if np.any(mu < 0.0):
+        raise ValidationError("mu must be entrywise nonnegative")
+    if float(mu.sum()) > 1.0 + 1e-9:
+        raise ValidationError(f"mu has total mass {float(mu.sum())!r} > 1")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValidationError(f"c must be positive and finite; got {c!r}")
+    nu_arr = _as_array(nu)
+    if float(np.min(np.linalg.eigvalsh(nu_arr))) < 1e-10:
+        raise ValidationError("nu must be full rank (min eigenvalue >= 1e-10)")
+    dims = {s.dim for s in states}
+    if len(dims) != 1 or dims.pop() ** n != nu_arr.shape[0]:
+        raise DimensionMismatchError("states and nu live on different dimensions")
+
+
 @dataclass(frozen=True)
 class DeltaInstance:
     """One bottleneck trade-off instance.
@@ -67,20 +88,7 @@ class DeltaInstance:
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "states", tuple(self.states))
-        if mu.ndim != 1 or mu.shape[0] != len(self.states):
-            raise ValidationError("mu and states must have equal length")
-        if np.any(mu < 0.0):
-            raise ValidationError("mu must be entrywise nonnegative")
-        if float(mu.sum()) > 1.0 + 1e-9:
-            raise ValidationError(f"mu has total mass {float(mu.sum())!r} > 1")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValidationError(f"c must be positive and finite; got {self.c!r}")
-        nu_arr = _as_array(self.nu)
-        if float(np.min(np.linalg.eigvalsh(nu_arr))) < 1e-10:
-            raise ValidationError("nu must be full rank (min eigenvalue >= 1e-10)")
-        dims = {s.dim for s in self.states}
-        if len(dims) != 1 or dims.pop() != nu_arr.shape[0]:
-            raise DimensionMismatchError("states and nu live on different dimensions")
+        _check_delta_input(mu, self.states, self.nu, self.c)
 
     @property
     def support(self) -> np.ndarray:
@@ -95,6 +103,8 @@ class DeltaResult(NamedTuple):
 class DeltaStarResult(NamedTuple):
     value: float
     best: "ChannelWithPosterior"
+    #: (I(U;Y), I(U;X)) of the maximizing channel against the average output
+    informations: tuple
 
 
 @dataclass(frozen=True)
@@ -111,32 +121,69 @@ class ChannelWithPosterior:
     sigma_y_given_u: tuple
 
 
-def _traces_against(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Re tr[stack_i mat] for each slice."""
-    return np.einsum("xjk,kj->x", stack, mat).real
-
-
 class _DeltaWork:
-    """Precomputed pieces for one ``delta`` instance, on the support of mu."""
+    """Precomputed pieces for Delta(mu, nu, c) over n-letter product states,
+    on the support of mu.
 
-    def __init__(self, inst: DeltaInstance):
-        self.support = inst.support
+    ``mu`` has one entry per sequence s in X^n (lexicographic order), whose
+    state is rho_{s_1} (x) ... (x) rho_{s_n} over the single-letter
+    ``states``; n = 1 is a plain instance.  The products over the last m
+    sites are held as one dense block, m as large as fits in ``STACK_BYTES``
+    (at least 1); mixtures and traces meet that block in one step and
+    contract the n - m leading sites one at a time (Van Loan, "The ubiquitous
+    Kronecker product", 2000), so no n-letter stack is built.  When the whole
+    stack fits (m = n) they have the bits of a dense sum over the support.
+    """
+
+    def __init__(self, mu, states, nu, c: float, n: int = 1):
+        mu = np.asarray(mu, dtype=float)
+        self.support = np.flatnonzero(mu > 0.0)
         if self.support.size == 0:
             raise DomainError("mu has empty support")
-        self.c = inst.c
-        self.mu_s = inst.mu[self.support]
+        self.c = c
+        self.mu_s = mu[self.support]
         self.log_mu = np.log(self.mu_s)
-        self.stack = stack_entries([inst.states[i] for i in self.support])
-        self.log_nu = la.logm_psd(_as_array(inst.nu))
+        self.sites = stack_entries(states)
+        k, d = self.sites.shape[:2]
+        self.n, self.m = n, 1
+        while self.m < n and 16 * (k * d * d) ** (self.m + 1) <= STACK_BYTES:
+            self.m += 1
+        block = self.sites
+        for _ in range(self.m - 1):
+            dim = block.shape[-1] * d
+            block = la.kron_pairs(block[:, None], self.sites[None]).reshape(-1, dim, dim)
+        self.block = block
+        self.log_nu = la.logm_psd(_as_array(nu))
         self.tr_lognu = self.traces(self.log_nu)
 
     def mix(self, gamma):
         """sum_x gamma(x) rho_x over the support."""
-        return np.einsum("x,xjk->jk", gamma, self.stack)
+        k, d = self.sites.shape[:2]
+        full = np.zeros(k**self.n)
+        full[self.support] = gamma
+        rows, dim = self.block.shape[0], self.block.shape[-1]
+        # acc[r, I, J]: r indexes the leading sites still to contract, (I, J)
+        # the trailing sites already contracted.  An einsum, not a matmul:
+        # at m = n it adds the terms in the order of the dense sum over the
+        # support, which BLAS does not
+        acc = np.einsum("rx,xj->rj", full.reshape(-1, rows), self.block.reshape(rows, -1))
+        for _ in range(self.n - self.m):
+            acc = np.einsum("rxIJ,xij->riIjJ", acc.reshape(-1, k, dim, dim), self.sites)
+            dim *= d
+        return acc.reshape(dim, dim)
 
     def traces(self, mat):
         """Re tr[rho_x mat] for each support symbol."""
-        return _traces_against(self.stack, mat)
+        d = self.sites.shape[1]
+        # acc[r, I, J]: r indexes the leading sites already contracted, (I, J)
+        # the trailing sites of mat^T still to contract
+        acc = np.asarray(mat).T
+        dim = acc.shape[0]
+        for _ in range(self.n - self.m):
+            dim //= d
+            acc = np.einsum("riIjJ,xij->rxIJ", acc.reshape(-1, d, dim, d, dim), self.sites)
+        out = np.einsum("rIJ,xIJ->rx", acc.reshape(-1, dim, dim), self.block)
+        return out.reshape(-1)[self.support].real
 
     def objective_and_eig(self, gamma):
         sigma = self.mix(gamma)
@@ -169,60 +216,6 @@ class _DeltaWork:
         return weights / total
 
 
-class _ProductDeltaWork(_DeltaWork):
-    """``_DeltaWork`` for n-letter product states: symbol i of the support is
-    rho_{s_1} (x) ... (x) rho_{s_n} for the sequence s = ``members[i]`` over
-    the single-letter ``site_states``.
-
-    Mixtures and traces are contracted one site at a time (Van Loan, "The
-    ubiquitous Kronecker product", 2000), so no n-letter state is built and
-    memory stays O(d^2n) instead of O(|X|^n d^2n).
-    """
-
-    def __init__(self, mu, site_states, members, nu_n: np.ndarray, c: float):
-        mu = np.asarray(mu, dtype=float)
-        self.support = np.flatnonzero(mu > 0.0)
-        if self.support.size == 0:
-            raise DomainError("mu has empty support")
-        self.c = c
-        self.mu_s = mu[self.support]
-        self.log_mu = np.log(self.mu_s)
-        self.sites = stack_entries(site_states)
-        k = self.sites.shape[0]
-        self.n = len(members[0])
-        seqs = np.asarray([members[i] for i in self.support]).T
-        self.flat = np.ravel_multi_index(tuple(seqs), (k,) * self.n)
-        self.log_nu = la.logm_psd(nu_n)
-        self.tr_lognu = self.traces(self.log_nu)
-
-    def mix(self, gamma):
-        k, d = self.sites.shape[0], self.sites.shape[1]
-        full = np.zeros(k**self.n)
-        full[self.flat] = gamma
-        # acc[r, x, I, J]: r indexes the leading sites, x the next one to
-        # contract, (I, J) the trailing sites already contracted
-        acc = full.reshape(-1, k, 1, 1)
-        for _ in range(self.n):
-            acc = np.einsum("rxIJ,xij->riIjJ", acc, self.sites)
-            rest, dim = acc.shape[0], acc.shape[1] * acc.shape[2]
-            acc = acc.reshape(rest, dim, dim)
-            if rest > 1:
-                acc = acc.reshape(rest // k, k, dim, dim)
-        return acc.reshape(d**self.n, d**self.n)
-
-    def traces(self, mat):
-        k, d = self.sites.shape[0], self.sites.shape[1]
-        # acc[r, I, J]: r indexes the leading sites already contracted,
-        # (I, J) the trailing sites of mat^T still to contract
-        acc = np.asarray(mat).T.reshape(1, d**self.n, d**self.n)
-        for _ in range(self.n):
-            rest, dim = acc.shape[0], acc.shape[1] // d
-            acc = acc.reshape(rest, d, dim, d, dim)
-            acc = np.einsum("riIjJ,xij->rxIJ", acc, self.sites)
-            acc = acc.reshape(rest * k, dim, dim)
-        return acc.reshape(-1)[self.flat].real
-
-
 def _delta_starts(k: int, count: int):
     """Uniform, vertex, and Dirichlet-random starting points on the simplex."""
     starts = [np.full(k, 1.0 / k)]
@@ -248,7 +241,7 @@ def delta(inst: DeltaInstance, multistarts: int = 32, max_iter: int = 500,
     cross-checked against an exhaustive simplex grid at the given resolution
     and must agree within 1e-3; the better of the two feasible values wins.
     """
-    work = _DeltaWork(inst)
+    work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
     best_val, best_gamma = _solve_delta(
         work, multistarts, max_iter, tol, cross_check, grid_resolution
     )
@@ -319,7 +312,7 @@ def _compositions(total: int, parts: int):
 
 def delta_grid_value(inst: DeltaInstance, resolution: int = 64) -> DeltaResult:
     """Exhaustive simplex-grid evaluation of the ``delta`` objective."""
-    work = _DeltaWork(inst)
+    work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
     val, gamma = _delta_grid(work, work.support.size, resolution)
     full = np.zeros(inst.mu.shape[0])
     full[work.support] = gamma
@@ -335,9 +328,9 @@ def delta_variational_value(inst: DeltaInstance, t_op) -> float:
     t_arr = _as_array(t_op)
     if float(np.min(np.linalg.eigvalsh(t_arr))) <= SUPPORT_TOL:
         raise DomainError("T must be positive definite")
-    work = _DeltaWork(inst)
+    work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
     log_t = la.logm_psd(t_arr)
-    scores = work.c * _traces_against(work.stack, log_t)
+    scores = work.c * work.traces(log_t)
     term1 = float(logsumexp(work.log_mu + scores))
     mix = work.log_nu + log_t
     term2 = work.c * math.log(la.trace_real(la.expm_herm(mix)))
@@ -357,7 +350,7 @@ class _ChannelWork:
         self.reference = np.asarray(reference, dtype=float)
         self.stack = stack_entries(states)
         self.log_nu = la.logm_psd(_as_array(nu))
-        self.tr_lognu = _traces_against(self.stack, self.log_nu)
+        self.tr_lognu = np.einsum("xjk,kj->x", self.stack, self.log_nu).real
         self.c = c
 
     def evaluate(self, kernels):
@@ -505,8 +498,9 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     """Best value of c D(sigma_Y|U || nu | P_U) - D(P_X|U || q | P_U).
 
     The optimization runs over row-stochastic kernels with ``u_size``
-    messages.  When nu equals the average output state the value also equals
-    c I(U;Y) - I(U;X); both forms are evaluated and must agree within 1e-9.
+    messages.  The result carries (I(U;Y), I(U;X)) of the maximizing channel
+    against the average output state; when nu equals that state the value
+    also equals c I(U;Y) - I(U;X), and both forms must agree within 1e-9.
     """
     q = _validate_distribution(q, states)
     states = tuple(states)
@@ -515,17 +509,16 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     in_labels = [str(i) for i in range(len(states))]
     u_labels = [f"u{j}" for j in range(u_size)]
     best = _posterior_package(q, states, kernel, u_labels, in_labels)
-    nu_arr = _as_array(nu)
     rho_avg = np.einsum("x,xjk->jk", q, work.stack)
-    if np.max(np.abs(nu_arr - rho_avg)) <= 1e-12:
-        i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
+    i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
+    if np.max(np.abs(_as_array(nu) - rho_avg)) <= 1e-12:
         alt = c * i_uy - i_ux
         if abs(alt - value) > 1e-9:
             raise ValidationError(
                 f"conditional-divergence form {value!r} and mutual-information "
                 f"form {alt!r} disagree beyond 1e-9"
             )
-    return DeltaStarResult(value, best)
+    return DeltaStarResult(value, best, (i_uy, i_ux))
 
 
 def chain_informations(q, stack, rho_avg, kernel):
@@ -652,16 +645,11 @@ def single_letter_gap(q, states, nu, c: float, n: int, delta: float, u_size: int
         )
     ts = typical_set(q, n, delta)
     eta = float(1.0 / np.min(q))
-    if c <= 0.0:
-        raise ValidationError(f"c must be positive; got {c!r}")
-    nu_n = tensor_all([nu] * n).entries
-    if float(np.min(np.linalg.eigvalsh(nu_n))) < 1e-10:
-        raise ValidationError("nu must be full rank (min eigenvalue >= 1e-10)")
-    dims = {s.dim for s in states}
-    if len(dims) != 1 or dims.pop() ** n != nu_n.shape[0]:
-        raise DimensionMismatchError("states and nu live on different dimensions")
-    work = _ProductDeltaWork(ts.mu_n, states, ts.members, nu_n, c)
-    lhs, _ = _solve_delta(work, multistarts)
+    mu_n = np.zeros(k**n)
+    mu_n[np.ravel_multi_index(np.asarray(ts.members).T, (k,) * n)] = ts.mu_n
+    nu_n = tensor_all([nu] * n)
+    _check_delta_input(mu_n, states, nu_n, c, n)
+    lhs, _ = _solve_delta(_DeltaWork(mu_n, states, nu_n, c, n), multistarts)
     star = delta_star(q, states, nu, c, u_size, multistarts=star_multistarts).value
     penalty = (c + 1.0) * math.log(eta) * math.sqrt(3.0 * n * eta * math.log(k / delta))
     report = BoundReport(

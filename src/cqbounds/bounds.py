@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _linalg as la
-from .bottleneck import DeltaInstance, chain_informations, delta, delta_star
+from .bottleneck import _check_delta_input, _DeltaWork, _solve_delta, chain_informations, delta_star
 from .entropy import relative_entropy
 from .errors import (
     DimensionMismatchError,
@@ -49,7 +49,7 @@ _C_CAP = 2.0**20
 #: the dual search stops once its bracket in s = 1/c is this narrow
 _S_TOL = 1e-7
 
-#: (delta_star(c), I(U*_c;X)) pairs by (source, c, u_size, multistarts),
+#: (delta_star(c), I(U*_c;Y), I(U*_c;X)) by (source, c, u_size, multistarts),
 #: oldest dropped first beyond this many entries
 _DELTA_STAR_CACHE_SIZE = 256
 _delta_star_cache: dict = {}
@@ -154,8 +154,8 @@ def stein_independence_objective(src: CQSource, chan: StochasticChannel):
 
 
 def _delta_star_value(src: CQSource, c: float, u_size: int, multistarts: int):
-    """(delta_star(c), I(U*_c;X)) of ``src`` against its average output,
-    computed once; U*_c is the maximizing channel at c.
+    """(delta_star(c), I(U*_c;Y), I(U*_c;X)) of ``src`` against its average
+    output, computed once; U*_c is the maximizing channel at c.
 
     delta_star(c) does not depend on the rate, so every rate, command and
     sweep point on one source shares the same curve; the solver is
@@ -172,9 +172,7 @@ def _delta_star_value(src: CQSource, c: float, u_size: int, multistarts: int):
     hit = _delta_star_cache.get(key)
     if hit is None:
         res = delta_star(src.q_x, src.states, src.rho_y, c, u_size, multistarts=multistarts)
-        i_ux = chain_informations(src.q_x, stack_entries(src.states), src.rho_y.entries,
-                                  res.best.p_u_given_x.kernel)[1]
-        hit = (res.value, i_ux)
+        hit = (res.value,) + res.informations
         if len(_delta_star_cache) >= _DELTA_STAR_CACHE_SIZE:
             del _delta_star_cache[next(iter(_delta_star_cache))]
         _delta_star_cache[key] = hit
@@ -191,36 +189,40 @@ def _lagrangian_min(src: CQSource, offset: float, u_size: int | None, multistart
     until the slope changes sign (up to ``_C_CAP``, past which the endpoint
     decides) and narrows that bracket in s by regula falsi with the Illinois
     modification, bisecting when the secant point is not strictly inside.
-    Returns (value, [(c, L(c)) in evaluation order] + [(inf, I(X;Y))]); the
-    value is the least entry of the curve.
+    While the slope is positive U*_c is feasible, and L(c) >= I(U*_c;Y); so
+    once I(U*_c;Y) reaches I(X;Y) (within 1e-12) the endpoint decides and the
+    doubling stops there.  Returns (value, [(c, L(c)) in evaluation order] +
+    [(inf, I(X;Y))]); the value is the least entry of the curve.
     """
     u = u_size if u_size is not None else src.size + 1
+    i_xy = source_mutual_information(src)
     curve = []
 
     def slope(s):
+        """(offset - I(U*_c;X), I(U*_c;Y)) at c = 1/s."""
         c = 1.0 / s
-        value, i_ux = _delta_star_value(src, c, u, multistarts)
+        value, i_uy, i_ux = _delta_star_value(src, c, u, multistarts)
         curve.append((c, (value + offset) / c))
-        return offset - i_ux
+        return offset - i_ux, i_uy
 
-    lo, g_lo = 1.0, slope(1.0)
+    lo, (g_lo, i_uy) = 1.0, slope(1.0)
     hi, g_hi = lo, g_lo
-    while g_lo > 0.0 and lo > 1.0 / _C_CAP:
+    while g_lo > 0.0 and i_uy < i_xy - 1e-12 and lo > 1.0 / _C_CAP:
         hi, g_hi = lo, g_lo
         lo /= 2.0
-        g_lo = slope(lo)
+        g_lo, i_uy = slope(lo)
     moved = 0  # the end the last step moved: -1 lo, 1 hi
     while g_lo < 0.0 < g_hi and hi - lo > _S_TOL:
         s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         if not lo < s < hi:
             s = 0.5 * (lo + hi)
-        g = slope(s)
+        g, _ = slope(s)
         # Illinois: an end kept twice in a row has its slope halved
         if g <= 0.0:
             lo, g_lo, g_hi, moved = s, g, g_hi / 2.0 if moved < 0 else g_hi, -1
         else:
             hi, g_hi, g_lo, moved = s, g, g_lo / 2.0 if moved > 0 else g_lo, 1
-    curve.append((math.inf, source_mutual_information(src)))
+    curve.append((math.inf, i_xy))
     return min(v for _, v in curve), curve
 
 
@@ -248,9 +250,9 @@ def bottleneck_sup_constrained(src: CQSource, r: float, u_size: int | None = Non
 
 def _n_letter_delta(mu_n, src: CQSource, t_n, ref, c: float, multistarts: int):
     """The checks and the Delta term of the key inequality and the
-    single-test image-size bound: the test entries, n, mu_n and rho_x^n on
-    the support of mu_n (sequences in lexicographic order), ref^n, and
-    Delta(mu_n, ref^n, c)."""
+    single-test image-size bound: the test entries, n, mu_n on its support
+    (sequences in lexicographic order), tr[rho_x^n T] on that support, ref^n,
+    and Delta(mu_n, ref^n, c)."""
     t_arr = _test_entries(t_n)
     dims = _as_dims(t_n)
     if any(d != src.d_y for d in dims):
@@ -258,17 +260,11 @@ def _n_letter_delta(mu_n, src: CQSource, t_n, ref, c: float, multistarts: int):
             f"test subsystems {dims} do not match the output dimension {src.d_y}"
         )
     n = len(dims)
-    mu = np.asarray(mu_n, dtype=float)
-    if mu.shape[0] != src.size**n:
-        raise DimensionMismatchError(
-            f"mu_n has {mu.shape[0]} entries; expected |X|^n = {src.size ** n}"
-        )
-    support = np.flatnonzero(mu > 0.0)
-    all_mats = product_stack(src.q_x, stack_entries(src.states), n)[1]
-    mats = [all_mats[i] for i in support]
     ref_n = tensor_all([ref] * n)
-    inst = DeltaInstance(mu[support], [DensityMatrix(m) for m in mats], ref_n, c)
-    return t_arr, n, mu[support], mats, ref_n, delta(inst, multistarts=multistarts).value
+    _check_delta_input(mu_n, src.states, ref_n, c, n)
+    work = _DeltaWork(mu_n, src.states, ref_n, c, n)
+    d_val = _solve_delta(work, multistarts)[0]
+    return t_arr, n, work.mu_s, work.traces(t_arr), ref_n, d_val
 
 
 def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,
@@ -283,7 +279,7 @@ def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,
         raise DomainError(f"c must exceed 1; got {c!r}")
     if t <= 0.0:
         raise DomainError(f"t must be positive; got {t!r}")
-    t_arr, n, mu, mats, nu_n, d_val = _n_letter_delta(
+    t_arr, n, mu, traces, nu_n, d_val = _n_letter_delta(
         mu_n, src, t_n, src.rho_y, c, delta_multistarts)
     t_wrapped = HermitianOperator(t_arr, (src.d_y,) * n)
     moved = psi_map_sites(t_wrapped, t, src.gamma, src.rho_y)
@@ -291,9 +287,8 @@ def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,
     lhs = max(base, 0.0) ** c * math.exp(d_val)
     exponent = c * (1.0 + 1.0 / t)
     rhs = 0.0
-    for m, mat in zip(mu, mats):
-        tr = max(0.0, la.inner_real(mat, t_arr))
-        rhs += m * tr**exponent
+    for m, tr in zip(mu, traces):
+        rhs += m * max(0.0, tr)**exponent
     return InequalityMargin(lhs, rhs, f"key c={c!r} t={t!r} n={n}")
 
 
@@ -345,9 +340,8 @@ def image_size_bound_i(mu_n, src: CQSource, sigma: DensityMatrix, t_n, c: float,
         raise DomainError(f"c must be positive; got {c!r}")
     if not 0.0 < delta_prob < 1.0:
         raise DomainError(f"delta must lie in (0,1); got {delta_prob!r}")
-    t_arr, n, mu, mats, sigma_n, d_val = _n_letter_delta(
+    t_arr, n, mu, traces, sigma_n, d_val = _n_letter_delta(
         mu_n, src, t_n, sigma, c, delta_multistarts)
-    traces = np.array([la.inner_real(m, t_arr) for m in mats])
     prob = float(np.sum(mu[traces >= delta_prob]))
     denom = la.inner_real(sigma_n.entries, t_arr)
     bound = (

@@ -39,7 +39,7 @@ from .hyptest import (
     product_source,
 )
 from .model_io import load_model
-from .operators import DensityMatrix, tensor_all
+from .operators import DensityMatrix
 
 COMMANDS = (
     "entropy", "beta", "delta", "delta-star", "theta",
@@ -136,16 +136,11 @@ def _cmd_beta(args, report: Report):
         assignment = record.witnesses["assignment"]
         report.add("best_encoder", "".join(str(w) for w in assignment))
     else:
-        src_n = product_source(src, args.n)
-        null = src_n.joint_state()
-        if alt is not None:
-            alt_src = CQSource(src.alphabet, src.q_x, alt)
-            alt_n = product_source(alt_src, args.n)
-            alternative = alt_n.joint_state()
-        else:
-            alternative = DensityMatrix(
-                tensor_all([src.independence_alternative()] * args.n)
-            )
+        # without alternative states, test against independence: every
+        # symbol keeps its probability and emits the average output
+        alt_states = alt if alt is not None else [src.rho_y] * src.size
+        null = product_source(src, args.n).joint_state()
+        alternative = product_source(CQSource(src.alphabet, src.q_x, alt_states), args.n).joint_state()
         beta, _ = neyman_pearson_beta(null, alternative, args.eps)
         report.add("beta", beta)
         report.add("exponent_estimate", -math.log(max(beta, 1e-300)) / args.n, "nats")

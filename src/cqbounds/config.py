@@ -30,9 +30,10 @@ TYPICAL_ENUM_CAP = 1_000_000
 #: probability mass below which an encoded block is dropped
 BLOCK_MASS_TOL = 1e-14
 
-#: bytes of dense matrices (count x dim^2 complex entries) one batched step of
-#: the stacked oracles may hold: the Neyman-Pearson pencils and the encoder
-#: blocks of the brute-force search; a larger matrix runs alone
+#: bytes of dense matrices (count x dim^2 complex entries) one batched step may
+#: hold: the Neyman-Pearson pencils, the encoder blocks of the brute-force
+#: search, and the block of n-letter product states behind Delta (its other
+#: sites are contracted one at a time); a larger matrix runs alone
 STACK_BYTES = 1 << 16
 
 #: environment variable naming a worker-thread count (accepted, changes nothing)

@@ -25,7 +25,8 @@ from cqbounds import (
     typical_set,
 )
 from cqbounds._linalg import expm_herm, logm_psd
-from cqbounds.bottleneck import _ChannelWork
+from cqbounds.bottleneck import _ChannelWork, _DeltaWork
+from cqbounds.config import STACK_BYTES
 from cqbounds.model_io import load_model
 
 LN2 = math.log(2.0)
@@ -271,8 +272,9 @@ def test_single_letter_gap_constant_channel():
 
 
 def test_single_letter_gap_lhs_matches_dense_product_states():
-    # single_letter_gap contracts the n-letter mixtures site by site; delta on
-    # the explicitly built product states must give the same left-hand side
+    # single_letter_gap holds the products over the last four sites as one
+    # block and contracts the first site alone; delta on the explicitly built
+    # product states must give the same left-hand side
     rng = np.random.default_rng(12)
     q = np.array([0.5, 0.5])
     states = _random_states(rng, 2, 2)
@@ -283,6 +285,19 @@ def test_single_letter_gap_lhs_matches_dense_product_states():
     big = [DensityMatrix(tensor_all([states[i] for i in seq])) for seq in ts.members]
     dense = delta(DeltaInstance(ts.mu_n, big, tensor_all([nu] * n), c), multistarts=8)
     assert abs(report.constants["lhs"] - dense.value) < 1e-10
+
+
+def test_n_letter_delta_work_holds_no_state_stack_beyond_stack_bytes():
+    # n = 8 has 256 product states of dimension 256 (256 MiB as one stack):
+    # the work keeps the single-letter states and the products over the
+    # last four sites, 16 x 16 x 16 entries
+    n = 8
+    states = [random_density(2, s, min_eig_floor=0.05) for s in (1, 2)]
+    nu_n = tensor_all([random_density(2, 3, min_eig_floor=0.1)] * n)
+    work = _DeltaWork(np.full(2**n, 1.0 / 2**n), states, nu_n, 1.5, n)
+    stacks = [a for a in vars(work).values() if isinstance(a, np.ndarray) and a.ndim == 3]
+    assert stacks and all(a.nbytes <= STACK_BYTES for a in stacks)
+    assert work.block.shape == (16, 16, 16)
 
 
 def test_single_letter_gap_guards():

@@ -7,6 +7,7 @@ import pytest
 
 from cqbounds import (
     CQSource,
+    DensityMatrix,
     DomainError,
     HermitianOperator,
     PreconditionError,
@@ -27,14 +28,17 @@ from cqbounds import (
     source_entropy,
     source_mutual_information,
     stein_independence_objective,
+    tensor_all,
     tensor_channels,
     theta_n_lower,
     verify_key_inequality,
 )
+from cqbounds import _linalg as la
 from cqbounds import bounds
-from cqbounds.bottleneck import delta_star
+from cqbounds.bottleneck import DeltaInstance, delta, delta_star
 from cqbounds.hyptest import product_stack
 from cqbounds.model_io import load_model
+from cqbounds.semigroup import psi_map_sites
 from cqbounds.verify import _fixed_source
 
 EXAMPLE_MODEL = Path(__file__).resolve().parents[1] / "model.example.json"
@@ -148,10 +152,14 @@ def test_closed_forms_at_full_rate_need_no_solve(monkeypatch):
 
 
 def test_dual_search_evaluates_few_points():
-    src, _ = load_model(EXAMPLE_MODEL)
-    _, curve = bottleneck_sup_constrained(src, 0.3)
-    assert curve[-1][0] == math.inf
-    assert len(curve) - 1 <= 16
+    example, _ = load_model(EXAMPLE_MODEL)
+    # on the constant source the slope stays positive at every c, but U*_1
+    # already reaches I(X;Y) = 0, so the endpoint decides without doubling c
+    for src, most in ((example, 16), (_constant_source(), 2)):
+        val, curve = bottleneck_sup_constrained(src, 0.3)
+        assert curve[-1][0] == math.inf
+        assert len(curve) - 1 <= most
+        assert val == min(v for _, v in curve)
 
 
 def test_bottleneck_sup_monotone_in_rate():
@@ -284,6 +292,50 @@ def test_image_size_bound_ii_report():
         const.q_x, const, const.states[0], 1.0, 0.5, 0.5, 50, multistarts=16
     )
     assert abs(rep0.first_order) < 1e-9
+
+
+def _dense_delta_and_traces(src, mu, t_op, ref, c, n):
+    """Delta(mu, ref^n, c) and tr[rho_x^n T] on the support of mu, from the
+    n-letter product states built one by one."""
+    seqs = list(itertools.product(range(src.size), repeat=n))
+    support = np.flatnonzero(mu > 0.0)
+    states = [DensityMatrix(tensor_all([src.states[x] for x in seqs[i]])) for i in support]
+    ref_n = tensor_all([ref] * n)
+    d_val = delta(DeltaInstance(mu[support], states, ref_n, c), multistarts=16).value
+    traces = np.array([la.inner_real(s.entries, t_op.entries) for s in states])
+    return d_val, mu[support], traces, ref_n
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_n_letter_bounds_match_dense_product_states(n):
+    # at n = 3 the Delta work holds the whole product stack as one block; at
+    # n = 5 it holds the last four sites and contracts the first one
+    rng = np.random.default_rng(60 + n)
+    src = _src()
+    mu = rng.dirichlet(np.ones(2**n)) * 0.8
+    raw = random_psd(2**n, 31 + n).entries
+    w, v = np.linalg.eigh(raw)
+    cols = v[:, w > np.median(w)]
+    t_op = HermitianOperator(cols @ cols.conj().T, (2,) * n)
+    c, t = 1.5, 0.5
+
+    d_val, mu_s, traces, nu_n = _dense_delta_and_traces(src, mu, t_op, src.rho_y, c, n)
+    base = la.inner_real(nu_n.entries, psi_map_sites(t_op, t, src.gamma, src.rho_y).entries)
+    key = verify_key_inequality(mu, src, t_op, c, t)
+    assert key.lhs == pytest.approx(base**c * math.exp(d_val), rel=1e-10)
+    want_rhs = float(np.sum(mu_s * np.maximum(traces, 0.0) ** (c * (1.0 + 1.0 / t))))
+    assert key.rhs == pytest.approx(want_rhs, rel=1e-10)
+
+    sigma = random_density(2, 5, min_eig_floor=0.2)
+    dp = 0.3
+    d_val, mu_s, traces, sigma_n = _dense_delta_and_traces(src, mu, t_op, sigma, c, n)
+    image = image_size_bound_i(mu, src, sigma, t_op, c, dp)
+    want_bound = (d_val + 2.0 * c * math.sqrt(math.log(1.0 / dp)) * math.sqrt(n * (src.gamma - 1.0))
+                  + c * math.log(1.0 / dp))
+    assert image.lhs == pytest.approx(want_bound, rel=1e-10)
+    want_observed = (math.log(float(np.sum(mu_s[traces >= dp])))
+                     - c * math.log(la.inner_real(sigma_n.entries, t_op.entries)))
+    assert image.rhs == pytest.approx(want_observed, rel=1e-10)
 
 
 def test_image_size_ii_dominates_bound_i_on_typical_measure():

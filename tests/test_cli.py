@@ -253,3 +253,17 @@ def test_cli_beta_on_example_model_is_pinned(tmp_path, argv, want):
     lines = _read(out).splitlines()
     for line in want:
         assert line in lines
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cli_beta_without_alt_states_tests_against_independence(tmp_path, n):
+    # two equal states: the source is its own independence alternative, so the
+    # two hypotheses coincide and the best test has beta = 1 - eps
+    s = random_density(2, 84, min_eig_floor=0.02)
+    path = tmp_path / "equal.json"
+    save_model(path, CQSource(["0", "1"], [0.5, 0.5], [s, s]))
+    out = tmp_path / "beta.txt"
+    assert main(["beta", "--n", str(n), "--eps", "0.3", "--model", str(path),
+                 "--out", str(out)]) == 0
+    line = next(row for row in _read(out).splitlines() if row.startswith("beta = "))
+    assert abs(float(line.split()[2]) - 0.7) < 1e-9
