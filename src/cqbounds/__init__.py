@@ -6,10 +6,11 @@ Everything computes in nats; ``EntropyValue`` carries a derived bits view.
 
 import os as _os
 
-# small dense problems: keep BLAS single-threaded so results do not depend on
-# the ambient thread configuration
+# small dense problems: pin BLAS to one thread, whatever the environment says,
+# so results do not depend on the ambient thread configuration (the pin takes
+# effect only when numpy has not been imported yet)
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-    _os.environ.setdefault(_var, "1")
+    _os.environ[_var] = "1"
 
 from .bottleneck import (  # noqa: E402
     ChannelWithPosterior,
@@ -86,7 +87,6 @@ from .operators import (  # noqa: E402
     partial_trace,
     random_density,
     random_hermitian,
-    random_isometry,
     random_psd,
     tensor,
     tensor_all,

@@ -64,12 +64,12 @@ def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (a + adj) / 2.0
 
 
-def eigh_deterministic(a: np.ndarray, cluster_tol: float = 1e-10):
+def eigh_deterministic(a: np.ndarray):
     """Eigendecomposition with ascending eigenvalues and deterministic columns.
 
     Each eigenvector's global phase is fixed by making its first significant
     entry real positive; within a degenerate cluster (eigenvalue gap below
-    ``cluster_tol``) columns are ordered lexicographically by their entries,
+    1e-10) columns are ordered lexicographically by their entries,
     comparing real then imaginary parts.
     """
     w, v = np.linalg.eigh(a)
@@ -84,7 +84,7 @@ def eigh_deterministic(a: np.ndarray, cluster_tol: float = 1e-10):
     start = 0
     while start < dim:
         stop = start + 1
-        while stop < dim and w[stop] - w[stop - 1] < cluster_tol:
+        while stop < dim and w[stop] - w[stop - 1] < 1e-10:
             stop += 1
         if stop - start > 1:
             keys = [
@@ -113,22 +113,23 @@ def spectral_map(a: np.ndarray, fn) -> np.ndarray:
     return from_spectrum(fn(w), v)
 
 
-def logm_psd(a: np.ndarray, restricted: bool = False, tol: float = SUPPORT_TOL) -> np.ndarray:
+def logm_psd(a: np.ndarray, restricted: bool = False) -> np.ndarray:
     """Natural matrix logarithm of PSD matrices (..., d, d) via their spectra.
 
-    With ``restricted=True`` eigenvalues at or below ``tol`` contribute 0 to
-    the spectral sum (support-restricted logarithm); otherwise they raise.
+    With ``restricted=True`` eigenvalues at or below ``SUPPORT_TOL``
+    contribute 0 to the spectral sum (support-restricted logarithm);
+    otherwise they raise.
     """
     w, v = np.linalg.eigh(a)
-    if first_member(np.all(w <= tol, axis=-1)) is not None:
+    if first_member(np.all(w <= SUPPORT_TOL, axis=-1)) is not None:
         raise DomainError("logarithm of a null operator")
     if restricted:
-        lw = np.where(w > tol, np.log(np.maximum(w, tol)), 0.0)
+        lw = np.where(w > SUPPORT_TOL, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
     else:
-        i = first_member(w[..., 0] <= tol)
+        i = first_member(w[..., 0] <= SUPPORT_TOL)
         if i is not None:
             raise DomainError(
-                f"logarithm needs eigenvalues > {tol:.1e}; smallest is {w[..., 0].flat[i]:.3e}"
+                f"logarithm needs eigenvalues > {SUPPORT_TOL:.1e}; smallest is {w[..., 0].flat[i]:.3e}"
             )
         lw = np.log(w)
     return from_spectrum(lw, v)
@@ -160,12 +161,12 @@ def power_rows(w: np.ndarray, r, keep=None) -> np.ndarray:
     return out
 
 
-def powm_psd(a: np.ndarray, r, restricted: bool = True, tol: float = SUPPORT_TOL) -> np.ndarray:
+def powm_psd(a: np.ndarray, r, restricted: bool = True) -> np.ndarray:
     """Matrix powers ``a**r`` of PSD matrices (..., d, d).
 
     ``r`` is one exponent or one per matrix.  Eigenvalues below
     ``-EIG_CLIP_TOL`` raise; eigenvalues in the clip band are treated as 0.
-    Eigenvalues at or below ``tol`` map to 0 when ``restricted``
+    Eigenvalues at or below ``SUPPORT_TOL`` map to 0 when ``restricted``
     (pseudo-power / pseudo-inverse), else they raise.
     """
     w, v = np.linalg.eigh(a)
@@ -175,7 +176,7 @@ def powm_psd(a: np.ndarray, r, restricted: bool = True, tol: float = SUPPORT_TOL
             f"matrix power of a non-PSD matrix (min eigenvalue {w[..., 0].flat[i]:.3e})"
         )
     w = np.maximum(w, 0.0)
-    small = w <= tol
+    small = w <= SUPPORT_TOL
     if not restricted and np.any(small):
         raise DomainError("negative/fractional power of a singular matrix")
     return from_spectrum(power_rows(w, r, ~small), v)
@@ -190,15 +191,16 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     return powm_psd(a, 0.5)
 
 
-def pinv_psd(a: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+def pinv_psd(a: np.ndarray) -> np.ndarray:
     """Support-restricted inverse of a PSD matrix."""
-    return powm_psd(a, -1.0, restricted=True, tol=tol)
+    return powm_psd(a, -1.0)
 
 
-def kernel_projector(a: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Projectors onto the kernels (eigenvalues <= tol) of PSD matrices (..., d, d)."""
+def kernel_projector(a: np.ndarray) -> np.ndarray:
+    """Projectors onto the kernels (eigenvalues <= ``SUPPORT_TOL``) of PSD
+    matrices (..., d, d)."""
     w, v = np.linalg.eigh(a)
-    return from_spectrum((w <= tol).astype(float), v)
+    return from_spectrum((w <= SUPPORT_TOL).astype(float), v)
 
 
 def row_sums(x: np.ndarray, keep=None) -> np.ndarray:
@@ -223,10 +225,10 @@ def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (size, size))
 
 
-def entropy_psd(a: np.ndarray, tol: float = SUPPORT_TOL) -> float:
-    """-tr[a ln a] of a PSD matrix, over eigenvalues above ``tol``."""
+def entropy_psd(a: np.ndarray) -> float:
+    """-tr[a ln a] of a PSD matrix, over eigenvalues above ``SUPPORT_TOL``."""
     w = np.linalg.eigvalsh(a)
-    w = w[w > tol]
+    w = w[w > SUPPORT_TOL]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -294,17 +296,9 @@ def site_contract(a: np.ndarray, dims, site: int, state: np.ndarray) -> np.ndarr
     eye = np.eye(d, dtype=complex)
     if n == 1:
         return complex(reduced) * eye
-    m = n - 1
-    full = np.tensordot(reduced, eye, axes=0)
-    row_order, col_order = [], []
-    ki = 0
-    for k in range(n):
-        if k == site:
-            row_order.append(2 * m)
-            col_order.append(2 * m + 1)
-        else:
-            row_order.append(ki)
-            col_order.append(m + ki)
-            ki += 1
-    total = int(np.prod(dims))
-    return full.transpose(row_order + col_order).reshape(total, total)
+    # rows (before, after) and columns (before, after) of the other sites,
+    # each with the site's identity index put back between them
+    before, after = int(np.prod(dims[:site])), int(np.prod(dims[site + 1:]))
+    full = np.tensordot(reduced.reshape(before, after, before, after), eye, axes=0)
+    total = before * d * after
+    return full.transpose(0, 4, 1, 2, 5, 3).reshape(total, total)

@@ -229,31 +229,26 @@ def _delta_starts(k: int, count: int):
     return starts[:count]
 
 
-def delta(inst: DeltaInstance, multistarts: int = 32, max_iter: int = 500,
-          tol: float = 1e-10, cross_check: bool | None = None,
-          grid_resolution: int = 64) -> DeltaResult:
+def delta(inst: DeltaInstance, multistarts: int = 32, cross_check: bool = True) -> DeltaResult:
     """Best value of c D(sigma_gamma || nu) - D(gamma || mu) over the simplex.
 
     Runs a multistart fixed-point iteration (the stationarity condition
     updates gamma(x) proportionally to mu(x) e^(c tr[rho_x ln T]) with
-    T = e^(ln sigma_gamma - ln nu)) and keeps the best iterate.  On supports
-    of size at most 3 (or when ``cross_check`` is forced) the result is
-    cross-checked against an exhaustive simplex grid at the given resolution
-    and must agree within 1e-3; the better of the two feasible values wins.
+    T = e^(ln sigma_gamma - ln nu)) and keeps the best iterate.  With
+    ``cross_check``, a result on a support of size at most 3 is
+    cross-checked against the exhaustive 1/64 simplex grid and must agree
+    within 1e-3; the better of the two feasible values wins.
     """
     work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
-    best_val, best_gamma = _solve_delta(
-        work, multistarts, max_iter, tol, cross_check, grid_resolution
-    )
+    best_val, best_gamma = _solve_delta(work, multistarts, cross_check)
     full = np.zeros(inst.mu.shape[0])
     full[work.support] = best_gamma
     return DeltaResult(best_val, full)
 
 
-def _solve_delta(work: _DeltaWork, multistarts: int = 32, max_iter: int = 500,
-                 tol: float = 1e-10, cross_check: bool | None = None,
-                 grid_resolution: int = 64):
-    """(best value, best gamma on the support) for ``delta``."""
+def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = True):
+    """(best value, best gamma on the support) for ``delta``: at most 500
+    fixed-point steps per start, stopping when the value moves < 1e-10."""
     k = work.support.size
     best_val, best_gamma = -math.inf, None
     for start in _delta_starts(k, multistarts):
@@ -261,11 +256,11 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, max_iter: int = 500,
         prev = -math.inf
         start_best = -math.inf
         stalled = 0
-        for _ in range(max_iter):
+        for _ in range(500):
             val, eig = work.objective_and_eig(gamma)
             if val > best_val:
                 best_val, best_gamma = val, gamma.copy()
-            if abs(val - prev) < tol:
+            if abs(val - prev) < 1e-10:
                 break
             # a cycling iterate no longer improves its running best: cut it
             stalled = stalled + 1 if val <= start_best + 1e-12 else 0
@@ -277,24 +272,23 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, max_iter: int = 500,
             if nxt is None:
                 break
             gamma = nxt
-    if cross_check is None:
-        cross_check = k <= 3
-    if cross_check:
-        grid_val, grid_gamma = _delta_grid(work, k, grid_resolution)
+    if cross_check and k <= 3:
+        grid_val, grid_gamma = _delta_grid(work, k)
         if abs(grid_val - best_val) > 1e-3 and grid_val > best_val:
             raise ValidationError(
                 f"fixed-point value {best_val!r} disagrees with the "
-                f"1/{grid_resolution} grid value {grid_val!r} beyond 1e-3"
+                f"1/64 grid value {grid_val!r} beyond 1e-3"
             )
         if grid_val > best_val:
             best_val, best_gamma = grid_val, grid_gamma
     return best_val, best_gamma
 
 
-def _delta_grid(work: _DeltaWork, k: int, resolution: int):
+def _delta_grid(work: _DeltaWork, k: int):
+    """Best objective value and gamma over the 1/64 grid of the k-simplex."""
     best_val, best_gamma = -math.inf, None
-    for comp in _compositions(resolution, k):
-        gamma = np.asarray(comp, dtype=float) / resolution
+    for comp in _compositions(64, k):
+        gamma = np.asarray(comp, dtype=float) / 64
         val, _ = work.objective_and_eig(gamma)
         if val > best_val:
             best_val, best_gamma = val, gamma
@@ -310,10 +304,10 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def delta_grid_value(inst: DeltaInstance, resolution: int = 64) -> DeltaResult:
-    """Exhaustive simplex-grid evaluation of the ``delta`` objective."""
+def delta_grid_value(inst: DeltaInstance) -> DeltaResult:
+    """Best value of the ``delta`` objective on the exhaustive 1/64 simplex grid."""
     work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
-    val, gamma = _delta_grid(work, work.support.size, resolution)
+    val, gamma = _delta_grid(work, work.support.size)
     full = np.zeros(inst.mu.shape[0])
     full[work.support] = gamma
     return DeltaResult(val, full)
@@ -409,10 +403,10 @@ def _channel_starts(k: int, u_size: int, count: int):
     return starts[:count]
 
 
-def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int,
-                    max_iter: int, grad_tol: float):
+def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int, max_iter: int):
     """Multistart entropic mirror ascent; returns (best value, best kernel).
 
+    A start stops at ``max_iter`` iterations or a stationarity residual below 1e-8.
     The starts advance in lock-step, one batched evaluation per round.  In a
     round each live start either begins its next iteration at its current
     step or, inside its backtracking line search, retries at half its last
@@ -438,7 +432,7 @@ def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int,
         kern, grad = kernels[begin], grads[begin]
         centered = grad - np.sum(kern * grad, axis=2, keepdims=True)
         done = (iters[begin] >= max_iter) | (
-            np.max(np.abs(kern * centered), axis=(1, 2)) < grad_tol
+            np.max(np.abs(kern * centered), axis=(1, 2)) < 1e-8
         )
         live[begin[done]] = False
         begin = begin[~done]
@@ -494,7 +488,7 @@ def _validate_distribution(q, states):
 
 
 def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
-               max_iter: int = 2000, grad_tol: float = 1e-8) -> DeltaStarResult:
+               max_iter: int = 2000) -> DeltaStarResult:
     """Best value of c D(sigma_Y|U || nu | P_U) - D(P_X|U || q | P_U).
 
     The optimization runs over row-stochastic kernels with ``u_size``
@@ -505,7 +499,7 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     q = _validate_distribution(q, states)
     states = tuple(states)
     work = _ChannelWork(q, q, states, nu, c)
-    value, kernel = _ascend_channel(work, u_size, multistarts, max_iter, grad_tol)
+    value, kernel = _ascend_channel(work, u_size, multistarts, max_iter)
     in_labels = [str(i) for i in range(len(states))]
     u_labels = [f"u{j}" for j in range(u_size)]
     best = _posterior_package(q, states, kernel, u_labels, in_labels)
@@ -540,8 +534,7 @@ def chain_informations(q, stack, rho_avg, kernel):
     return la.entropy_psd(rho_avg) - s_cond, float(i_ux)
 
 
-def phi(p_tilde, q, states, rho_y, c: float, u_size: int, multistarts: int = 64,
-        max_iter: int = 2000, grad_tol: float = 1e-8) -> float:
+def phi(p_tilde, q, states, rho_y, c: float, u_size: int, multistarts: int = 64) -> float:
     """Mixed-input channel functional: joints weighted by ``p_tilde`` while the
     posterior penalty references ``q``.  At p_tilde = q this coincides with
     ``delta_star`` evaluated at nu = rho_y.
@@ -551,7 +544,7 @@ def phi(p_tilde, q, states, rho_y, c: float, u_size: int, multistarts: int = 64,
     if q.shape != p_tilde.shape or np.any(q <= 0.0):
         raise ValidationError("q must be a full-support distribution matching p_tilde")
     work = _ChannelWork(p_tilde, q, tuple(states), rho_y, c)
-    value, _ = _ascend_channel(work, u_size, multistarts, max_iter, grad_tol)
+    value, _ = _ascend_channel(work, u_size, multistarts, 2000)
     return value
 
 

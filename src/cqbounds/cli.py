@@ -6,10 +6,10 @@ rows plus CSV margin tables for suites and sweeps.
 
 Exit codes: 0 success, 2 validation or domain error, 3 precondition
 (threshold) error, 4 resource-cap error.  All randomized commands require an
-explicit ``--seed`` and are bit-reproducible given it.  Suites run
-single-threaded, their instances evaluated as stacked arrays; the
-environment variable ``CQBOUNDS_THREADS`` is still accepted but changes no
-output and no work.
+explicit ``--seed`` and are bit-reproducible given it.  Suites run on one
+thread, their instances evaluated as stacked arrays, and importing
+``cqbounds`` pins BLAS to one thread whatever the environment sets, so the
+output does not depend on the thread configuration.
 """
 
 from __future__ import annotations

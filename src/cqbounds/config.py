@@ -1,10 +1,8 @@
-"""Numerical tolerances, caps, and the thread-count setting.
+"""Numerical tolerances and caps.
 
 All logarithms in this package are natural; entropic values are computed in
 nats and converted to bits only at display boundaries.
 """
-
-import os
 
 #: max absolute deviation from Hermiticity accepted at construction
 HERMITIAN_TOL = 1e-10
@@ -36,21 +34,9 @@ BLOCK_MASS_TOL = 1e-14
 #: sites are contracted one at a time); a larger matrix runs alone
 STACK_BYTES = 1 << 16
 
-#: environment variable naming a worker-thread count (accepted, changes nothing)
-THREADS_ENV_VAR = "CQBOUNDS_THREADS"
-
 
 def thread_count() -> int:
-    """The worker-thread setting from ``CQBOUNDS_THREADS`` (default: all cores).
-
-    Suites run single-threaded as stacked arrays, so the setting is accepted
-    but changes no output and no work.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
+    """Threads the package computes on: 1.  Suites run as stacked arrays, and
+    importing ``cqbounds`` sets ``OPENBLAS_NUM_THREADS`` (and the MKL/OpenMP
+    equivalents) to 1 whatever the environment says."""
+    return 1

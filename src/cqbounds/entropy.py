@@ -54,7 +54,7 @@ def _support_violated(rho_arr: np.ndarray, sigma_arr: np.ndarray) -> np.ndarray:
     if la.first_member(has_kernel) is None:
         return flagged
     for idx in map(tuple, np.argwhere(has_kernel)):
-        ker = la.kernel_projector(sigma_arr[idx], SUPPORT_TOL)
+        ker = la.kernel_projector(sigma_arr[idx])
         w, v = np.linalg.eigh(rho_arr[idx])
         for j in range(w.shape[0]):
             if w[j] > SUPPORT_TOL:

@@ -155,9 +155,8 @@ class StochasticChannel:
         return cls(alphabet, alphabet, np.eye(n))
 
     @classmethod
-    def constant(cls, in_alphabet, out_label="*"):
-        n = len(in_alphabet)
-        return cls(in_alphabet, [out_label], np.ones((n, 1)))
+    def constant(cls, in_alphabet):
+        return cls(in_alphabet, ["*"], np.ones((len(in_alphabet), 1)))
 
     @classmethod
     def deterministic(cls, in_alphabet, out_alphabet, assignment):

@@ -277,46 +277,37 @@ def random_density_stack(dim: int, seeds, min_eig_floor: float = 0.0) -> np.ndar
     return density_stack(_density_entries(dim, seeds, min_eig_floor))
 
 
-def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, seed: int) -> HermitianOperator:
     """Seeded GUE-style Hermitian matrix."""
     g = _ginibre(np.random.default_rng(seed), dim)
-    return HermitianOperator(scale * (g + g.conj().T) / 2.0)
+    return HermitianOperator((g + g.conj().T) / 2.0)
 
 
-def _psd_entries(dim: int, seeds, min_eig_floor: float, scale: float) -> np.ndarray:
+def _psd_entries(dim: int, seeds, min_eig_floor: float) -> np.ndarray:
     """Unvalidated (N, dim, dim) draws of ``random_psd``, one per seed."""
     g = _ginibre_stack(dim, seeds)
-    return scale * (g @ la.dagger(g)) / dim + min_eig_floor * np.eye(dim)
+    return (g @ la.dagger(g)) / dim + min_eig_floor * np.eye(dim)
 
 
-def random_psd(dim: int, seed: int, min_eig_floor: float = 0.0, scale: float = 1.0) -> HermitianOperator:
+def random_psd(dim: int, seed: int, min_eig_floor: float = 0.0) -> HermitianOperator:
     """Seeded PSD matrix W W^dagger / dim (+ floor), unnormalized."""
-    return HermitianOperator(_psd_entries(dim, [seed], min_eig_floor, scale)[0])
+    return HermitianOperator(_psd_entries(dim, [seed], min_eig_floor)[0])
 
 
-def random_psd_stack(dim: int, seeds, min_eig_floor: float = 0.0, scale: float = 1.0) -> np.ndarray:
+def random_psd_stack(dim: int, seeds, min_eig_floor: float = 0.0) -> np.ndarray:
     """``random_psd(dim, s, ...)`` entries for each seed, as a symmetrized
     (N, dim, dim) array checked like a HermitianOperator."""
-    mat = la.hermitize(_psd_entries(dim, seeds, min_eig_floor, scale), HERMITIAN_TOL)
+    mat = la.hermitize(_psd_entries(dim, seeds, min_eig_floor), HERMITIAN_TOL)
     _check_dim(dim)
     return mat
-
-
-def _isometry_stack(dim_in: int, dim_out: int, seeds) -> np.ndarray:
-    if dim_out < dim_in:
-        raise DomainError("an isometry needs dim_out >= dim_in")
-    return _haar_unitaries(_ginibre_stack(dim_out, seeds))[..., :dim_in]
-
-
-def random_isometry(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
-    """Seeded isometry V with V^dagger V = Id on the input space."""
-    return _isometry_stack(dim_in, dim_out, [seed])[0]
 
 
 def random_channel_kraus_stack(dim_in: int, dim_out: int, dim_env: int, seeds) -> np.ndarray:
     """``random_channel_kraus`` for each seed, as an (N, dim_env, dim_out,
     dim_in) array."""
-    v = _isometry_stack(dim_in, dim_out * dim_env, seeds)
+    if dim_out * dim_env < dim_in:
+        raise DomainError("an isometry needs dim_out >= dim_in")
+    v = _haar_unitaries(_ginibre_stack(dim_out * dim_env, seeds))[..., :dim_in]
     return v.reshape(len(seeds), dim_env, dim_out, dim_in)
 
 

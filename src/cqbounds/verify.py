@@ -270,15 +270,15 @@ def run_renyi_limit(seed: int, instances: int) -> SuiteResult:
 # hypothesis-testing suites
 
 
-def np_scan_oracle(rho0: DensityMatrix, rho1: DensityMatrix, eps: float,
-                   budget: int = 400) -> float:
+def np_scan_oracle(rho0: DensityMatrix, rho1: DensityMatrix, eps: float) -> float:
     """Independent optimal-test scan: thresholds from the Hermitian ratio
-    operator on the support of rho1, a gridded randomization weight plus the
-    exact budget-saturating weight at each threshold, brute minimum."""
-    return float(np_scan_oracle_stack(rho0.entries[None], rho1.entries[None], eps, budget)[0])
+    operator on the support of rho1, a gridded randomization weight (about
+    400 weights over all thresholds) plus the exact budget-saturating
+    weight at each threshold, brute minimum."""
+    return float(np_scan_oracle_stack(rho0.entries[None], rho1.entries[None], eps)[0])
 
 
-def np_scan_oracle_stack(r0: np.ndarray, r1: np.ndarray, eps, budget: int = 400) -> np.ndarray:
+def np_scan_oracle_stack(r0: np.ndarray, r1: np.ndarray, eps) -> np.ndarray:
     """``np_scan_oracle`` for each pair of density-matrix entries in stacks
     (N, d, d), with one budget ``eps`` or one per pair; each value has the
     single call's bits."""
@@ -296,7 +296,7 @@ def np_scan_oracle_stack(r0: np.ndarray, r1: np.ndarray, eps, budget: int = 400)
     ratio = la.hermitize(isq @ r0 @ isq, tol=1e-8)
     cands = [sorted(set(round(t, 14) for t in [0.0] + [max(0.0, t) for t in row]))
              for row in np.linalg.eigvalsh(ratio).tolist()]
-    per_t = np.array([max(2, budget // max(1, len(c)) - 1) for c in cands])
+    per_t = np.array([max(2, 400 // max(1, len(c)) - 1) for c in cands])
     # every (member, threshold) pencil r0 - t r1, diagonalized in bounded steps
     owner = np.repeat(np.arange(n), [len(c) for c in cands])
     ts = np.array([t for c in cands for t in c])
@@ -601,15 +601,15 @@ def run_bottleneck(seed: int, instances: int) -> SuiteResult:
 _SINGLE_LETTER_SEEDS = (84, 85)
 
 
-def run_single_letter(seed: int, instances: int, n: int = 8) -> SuiteResult:
+def run_single_letter(seed: int, instances: int) -> SuiteResult:
     rows = []
     if instances >= 1:
         s0 = random_density(2, _SINGLE_LETTER_SEEDS[0], min_eig_floor=0.02)
         s1 = random_density(2, _SINGLE_LETTER_SEEDS[1], min_eig_floor=0.02)
         avg = DensityMatrix(0.5 * (s0.entries + s1.entries))
-        report = bn.single_letter_gap(np.array([0.5, 0.5]), (s0, s1), avg, 1.5, n, 0.9, 3)
+        report = bn.single_letter_gap(np.array([0.5, 0.5]), (s0, s1), avg, 1.5, 8, 0.9, 3)
         lhs = report.constants["lhs"]
-        rows.append([0, seed, n, 1.5, 0.9, report.total, lhs, report.constants["margin"]])
+        rows.append([0, seed, 8, 1.5, 0.9, report.total, lhs, report.constants["margin"]])
     cols = ["instance_id", "seed", "n", "c", "delta", "lhs", "rhs", "margin"]
     return _finish("single-letter", cols, rows, [r[-1] for r in rows], 1e-4)
 

@@ -1,4 +1,4 @@
-# cqbounds first: it defaults OPENBLAS_NUM_THREADS (and the MKL/OpenMP
+# cqbounds first: it pins OPENBLAS_NUM_THREADS (and the MKL/OpenMP
 # equivalents) to 1, which only takes effect if set before numpy loads BLAS
 from cqbounds import CQSource, random_density  # isort: skip
 

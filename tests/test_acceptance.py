@@ -170,7 +170,7 @@ def test_c09_expurgation():
 
 
 def test_c10_determinism(tmp_path):
-    """Byte-identical verify --all output across different thread counts."""
+    """Byte-identical verify --all output across different BLAS thread counts."""
     # The child runs in tmp_path, where a relative PYTHONPATH entry (e.g. the
     # `src` of a no-install run) resolves to nothing; put the directory of the
     # cqbounds this process imported first, so both sides run the same code.
@@ -180,7 +180,7 @@ def test_c10_determinism(tmp_path):
     for label, threads in (("a", "1"), ("b", "4")):
         workdir = tmp_path / label
         workdir.mkdir()
-        env = dict(os.environ, CQBOUNDS_THREADS=threads, PYTHONPATH=pythonpath)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         cmd = [
             sys.executable, "-m", "cqbounds.cli", "verify", "--all",
             "--seed", "7", "--instances", "8", "--out", "report.txt",

@@ -1,11 +1,14 @@
 """Stacked kernels against one-matrix-at-a-time calls: same bits, same errors."""
 
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import cqbounds
 from cqbounds import DensityMatrix, DomainError, ValidationError
 from cqbounds import _linalg as la
 from cqbounds.operators import (
@@ -165,10 +168,23 @@ def test_kron_pairs_match_np_kron():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs the Linux /proc task list")
 def test_blas_starts_no_worker_threads():
-    # the package defaults OPENBLAS_NUM_THREADS to 1; that holds only when it
-    # is imported before numpy loads BLAS, as tests/conftest.py does
+    # the package pins OPENBLAS_NUM_THREADS to 1; that holds only when it is
+    # imported before numpy loads BLAS, as tests/conftest.py does
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         pytest.skip("OPENBLAS_NUM_THREADS is set to another value in the environment")
     np.linalg.eigh(_psd_stack(200, 1, seed=16)[0])
     native = len(os.listdir("/proc/self/task")) - threading.active_count()
     assert native == 0
+
+
+def test_import_pins_blas_threads_whatever_the_environment():
+    # a child whose environment asks for 4 BLAS threads must see 1 after
+    # importing cqbounds, so BLAS (loaded by that import) runs on one thread
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cqbounds.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    env = dict(os.environ, PYTHONPATH=pythonpath, **{name: "4" for name in names})
+    code = f"import os, cqbounds; print(*(os.environ[v] for v in {names!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]

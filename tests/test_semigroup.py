@@ -28,6 +28,7 @@ from cqbounds import (
     tensor_depolarize,
     weighted_lp_norm,
 )
+from cqbounds import _linalg as la
 
 
 def _spec(seed=5, dim=2, floor=0.1):
@@ -129,6 +130,23 @@ def test_tensor_depolarize_reductions():
     np.testing.assert_allclose(
         tensor_depolarize(eye8, 0.9, states).entries, np.eye(8), atol=1e-13
     )
+
+
+def test_tensor_depolarize_factorizes_over_unequal_site_dimensions():
+    dims = (2, 3, 2)
+    factors = [random_hermitian(d, 43 + k) for k, d in enumerate(dims)]
+    states = [random_density(d, 46 + k, min_eig_floor=0.05) for k, d in enumerate(dims)]
+    joint = tensor(tensor(factors[0], factors[1]), factors[2])
+    moved = tensor_depolarize(joint, 0.6, states)
+    sitewise = [depolarize_heisenberg(f, 0.6, SemigroupSpec(s)) for f, s in zip(factors, states)]
+    want = np.kron(np.kron(sitewise[0].entries, sitewise[1].entries), sitewise[2].entries)
+    np.testing.assert_allclose(moved.entries, want, atol=1e-12)
+
+    # the middle site alone: tr(state_1 x_1) x_0 (x) Id_3 (x) x_2
+    middle = la.site_contract(joint.entries, dims, 1, states[1].entries)
+    mean = np.trace(states[1].entries @ factors[1].entries)
+    want = mean * np.kron(np.kron(factors[0].entries, np.eye(3)), factors[2].entries)
+    np.testing.assert_allclose(middle, want, atol=1e-12)
 
 
 def test_psi_map_contract():
