@@ -33,7 +33,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .hyptest import StochasticChannel
+from .hyptest import StochasticChannel, stack_step
 from .operators import DensityMatrix, HermitianOperator, _as_array, stack_entries, tensor_all
 from .reports import BoundReport
 from .semigroup import InequalityMargin
@@ -157,20 +157,24 @@ class _DeltaWork:
         self.tr_lognu = self.traces(self.log_nu)
 
     def mix(self, gamma):
-        """sum_x gamma(x) rho_x over the support."""
+        """sum_x gamma(x) rho_x over the support, for one gamma or for each
+        row of a stack (G, support); each row gets the bits of a call on it."""
         k, d = self.sites.shape[:2]
-        full = np.zeros(k**self.n)
-        full[self.support] = gamma
+        lead = gamma.shape[:-1]
+        full = np.zeros(lead + (k**self.n,))
+        full[..., self.support] = gamma
         rows, dim = self.block.shape[0], self.block.shape[-1]
         # acc[r, I, J]: r indexes the leading sites still to contract, (I, J)
         # the trailing sites already contracted.  An einsum, not a matmul:
         # at m = n it adds the terms in the order of the dense sum over the
         # support, which BLAS does not
-        acc = np.einsum("rx,xj->rj", full.reshape(-1, rows), self.block.reshape(rows, -1))
+        acc = np.einsum("...rx,xj->...rj", full.reshape(lead + (-1, rows)),
+                        self.block.reshape(rows, -1))
         for _ in range(self.n - self.m):
-            acc = np.einsum("rxIJ,xij->riIjJ", acc.reshape(-1, k, dim, dim), self.sites)
+            acc = np.einsum("...rxIJ,xij->...riIjJ", acc.reshape(lead + (-1, k, dim, dim)),
+                            self.sites)
             dim *= d
-        return acc.reshape(dim, dim)
+        return acc.reshape(lead + (dim, dim))
 
     def traces(self, mat):
         """Re tr[rho_x mat] for each support symbol."""
@@ -186,15 +190,15 @@ class _DeltaWork:
         return out.reshape(-1)[self.support].real
 
     def objective_and_eig(self, gamma):
+        """The objective at gamma or each row of gammas, with the mixtures' eigh."""
         sigma = self.mix(gamma)
         w, v = np.linalg.eigh(sigma)
-        pos = w > SUPPORT_TOL
-        tr_logsig = float(np.sum(w[pos] * np.log(w[pos])))
+        pos, g_pos = w > SUPPORT_TOL, gamma > 0.0
+        tr_logsig = la.row_sums(w * np.log(np.where(pos, w, 1.0)), pos)
         d_out = tr_logsig - la.inner_real(sigma, self.log_nu)
-        g_pos = gamma[gamma > 0.0]
-        m_pos = self.mu_s[gamma > 0.0]
-        d_in = float(np.sum(g_pos * np.log(g_pos / m_pos)))
-        return self.c * d_out - d_in, (w, v)
+        ratio = np.where(g_pos, gamma / self.mu_s, 1.0)
+        d_in = la.row_sums(gamma * np.log(ratio), g_pos)
+        return la.scalar_or_array(self.c * d_out - d_in), (w, v)
 
     def fixed_point_step(self, eig):
         w, v = eig
@@ -285,14 +289,15 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = Tr
 
 
 def _delta_grid(work: _DeltaWork, k: int):
-    """Best objective value and gamma over the 1/64 grid of the k-simplex."""
-    best_val, best_gamma = -math.inf, None
-    for comp in _compositions(64, k):
-        gamma = np.asarray(comp, dtype=float) / 64
-        val, _ = work.objective_and_eig(gamma)
-        if val > best_val:
-            best_val, best_gamma = val, gamma
-    return best_val, best_gamma
+    """Best objective value and gamma (the first of equal ones) over the 1/64
+    grid of the k-simplex, its mixtures diagonalized in stacks of
+    ``stack_step``."""
+    grid = np.array(list(_compositions(64, k)), dtype=float) / 64
+    step = stack_step(work.sites.shape[-1] ** work.n)
+    vals = np.concatenate([work.objective_and_eig(grid[lo:lo + step])[0]
+                           for lo in range(0, len(grid), step)])
+    best = int(np.argmax(vals))
+    return float(vals[best]), grid[best]
 
 
 def _compositions(total: int, parts: int):

@@ -35,11 +35,12 @@ from .errors import (
 from .hyptest import (
     CQSource,
     brute_force_beta_distributed,
-    neyman_pearson_beta,
-    product_source,
+    check_product_dim,
+    neyman_pearson_beta_stack,
+    product_stack,
 )
 from .model_io import load_model
-from .operators import DensityMatrix
+from .operators import DensityMatrix, density_stack, stack_entries
 
 COMMANDS = (
     "entropy", "beta", "delta", "delta-star", "theta",
@@ -137,11 +138,13 @@ def _cmd_beta(args, report: Report):
         report.add("best_encoder", "".join(str(w) for w in assignment))
     else:
         # without alternative states, test against independence: every
-        # symbol keeps its probability and emits the average output
+        # symbol keeps its probability and emits the average output.  Both
+        # n-letter states are block diagonal in x^n: one block per sequence
         alt_states = alt if alt is not None else [src.rho_y] * src.size
-        null = product_source(src, args.n).joint_state()
-        alternative = product_source(CQSource(src.alphabet, src.q_x, alt_states), args.n).joint_state()
-        beta, _ = neyman_pearson_beta(null, alternative, args.eps)
+        check_product_dim(src, args.n)
+        pairs = [product_stack(src.q_x, stack_entries(s), args.n) for s in (src.states, alt_states)]
+        r0, r1 = (density_stack(p[:, None, None] * m, blocks=True)[None] for p, m in pairs)
+        beta = float(neyman_pearson_beta_stack(r0, r1, args.eps)[0])
         report.add("beta", beta)
         report.add("exponent_estimate", -math.log(max(beta, 1e-300)) / args.n, "nats")
 
@@ -398,28 +401,12 @@ def main(argv=None) -> int:
     report = Report(args.command, flags, getattr(args, "bits", False))
     out_base = args.out[:-4] if args.out.endswith(".txt") else args.out
     try:
-        if args.command == "entropy":
-            _cmd_entropy(args, report)
-        elif args.command == "beta":
-            _cmd_beta(args, report)
-        elif args.command == "delta":
-            _cmd_delta(args, report)
-        elif args.command == "delta-star":
-            _cmd_delta_star(args, report)
-        elif args.command == "theta":
-            _cmd_theta(args, report)
-        elif args.command == "sc-bound":
-            _cmd_sc_bound(args, report)
-        elif args.command == "image-size":
-            _cmd_image_size(args, report)
-        elif args.command == "source-bound":
-            _cmd_source_bound(args, report)
-        elif args.command == "verify":
-            if not args.all and not args.suite:
-                raise ValidationError("verify needs --suite NAME or --all")
-            _cmd_verify(args, report, out_base)
-        elif args.command == "sweep":
-            _cmd_sweep(args, report, out_base)
+        if args.command == "verify" and not args.all and not args.suite:
+            raise ValidationError("verify needs --suite NAME or --all")
+        # each command's handler is _cmd_<command>; the two that write CSV
+        # files also take their base path
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        handler(args, report, *((out_base,) if args.command in ("verify", "sweep") else ()))
         report.write(args.out)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

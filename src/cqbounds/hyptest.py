@@ -4,10 +4,15 @@ encoders, brute-force distributed type-II error, and test expurgation.
 The optimal-test solver sweeps the thresholds given by the generalized
 eigenvalues of the pencil rho0 - t rho1 and mixes in the boundary eigenspace
 with one scalar weight, which exhausts the type-I budget deterministically.
-The solver, the brute-force encoder search and expurgation run on stacks of
-problems, the pencils and encoder blocks in steps of at most
-``config.STACK_BYTES`` per stacked array; every member gets the bits a call
-on it alone gives, and the one-problem functions are the stack of one.
+It solves block-diagonal pairs block by block, as direct sums: the classical
+register of a classical-quantum state (the sequence x^n, or the message of an
+encoder) makes both hypotheses block diagonal, so ``cqbounds beta`` and the
+brute-force encoder search never build the (|X| d_y)^n joint matrices.  A
+dense pair is the case of one block.  The solver, the brute-force encoder
+search and expurgation run on stacks of problems, the pencils and encoder
+blocks in steps of at most ``config.STACK_BYTES`` per stacked array; every
+member gets the bits a call on it alone gives, and the one-problem functions
+are the stack of one.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class CQSource:
     def joint_state(self) -> DensityMatrix:
         """Block-diagonal joint state sum_x Q(x)|x><x| o rho_x."""
         blocks = self.q_x[:, None, None] * stack_entries(self.states)
-        return DensityMatrix(_block_diag(blocks), (self.size, self.d_y))
+        return DensityMatrix(scipy.linalg.block_diag(*blocks), (self.size, self.d_y))
 
     def independence_alternative(self) -> DensityMatrix:
         """Product of marginals, diag(Q) o rho_avg, on the same layout."""
@@ -243,31 +248,32 @@ class ErrorPair:
         object.__setattr__(self, "beta", min(1.0, max(0.0, self.beta)))
 
 
-def _weights(vectors: np.ndarray, mat: np.ndarray) -> float:
-    """sum_j <v_j| mat |v_j> for the columns of ``vectors``."""
-    if vectors.size == 0:
-        return 0.0
-    return float(np.real(np.sum(vectors.conj() * (mat @ vectors))))
+def _pencil_thresholds(r0: np.ndarray, r1: np.ndarray, kernel: np.ndarray) -> list:
+    """Each member's thresholds: 0 and the real, finite, nonnegative
+    generalized eigenvalues of all its blocks r0 - t r1 (those in
+    [-1e-10, 0) as 0), sorted, one kept per run within 1e-12 (1 + t).
 
-
-def _pencil_thresholds(r0: np.ndarray, r1: np.ndarray) -> list:
-    vals = scipy.linalg.eig(r0, r1, right=False)
-    out = [0.0]
-    for z in np.atleast_1d(vals):
-        if not np.isfinite(z):
-            continue
-        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
-            continue
-        t = float(z.real)
-        if t < -1e-10:
-            continue
-        out.append(max(t, 0.0))
-    out = sorted(out)
-    dedup = [out[0]]
-    for t in out[1:]:
-        if t - dedup[-1] > 1e-12 * (1.0 + t):
-            dedup.append(t)
-    return dedup
+    Members whose r1 blocks have no kernel (``kernel`` False) take them from
+    one batched Cholesky reduction r1 = L L^dagger and ``eigvalsh`` of
+    L^-1 r0 L^-dagger; the others from ``scipy.linalg.eig`` block by block.
+    """
+    vals = np.full(r0.shape[:1] + (r0.shape[1] * r0.shape[-1],), -np.inf)
+    full = ~kernel
+    if full.any():
+        inv = np.linalg.inv(np.linalg.cholesky(r1[full]))
+        vals[full] = np.linalg.eigvalsh(inv @ r0[full] @ la.dagger(inv)).reshape(-1, vals.shape[1])
+    for k in np.flatnonzero(kernel).tolist():
+        z = np.concatenate([scipy.linalg.eig(a, b, right=False) for a, b in zip(r0[k], r1[k])])
+        real = np.isfinite(z) & (np.abs(z.imag) <= 1e-8 * (1.0 + np.abs(z.real)))
+        vals[k] = np.where(real, z.real, -np.inf)
+    out = []
+    for row in vals:
+        dedup = [0.0]
+        for t in np.sort(np.maximum(row[row >= -1e-10], 0.0)).tolist():
+            if t - dedup[-1] > 1e-12 * (1.0 + t):
+                dedup.append(t)
+        out.append(dedup)
+    return out
 
 
 def stack_step(dim: int) -> int:
@@ -278,23 +284,24 @@ def stack_step(dim: int) -> int:
 
 def _span_weight(cols: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Re sum_j <c_j| mat |c_j> over the columns of contiguous blocks
-    (G, d, k), each summed as ``_weights`` sums one block."""
+    (G, d, k), each summed as a call on its block alone sums it."""
     prod = mats @ cols
     np.multiply(cols.conj(), prod, out=prod)
     return prod.reshape(len(cols), -1).sum(axis=-1).real
 
 
 def _pencil_weights(r0: np.ndarray, r1: np.ndarray, thresholds):
-    """Spectral weights of the pencils r0[i] - t r1[i] for every threshold t
-    in ``thresholds[i]``, diagonalized in batches of ``stack_step`` pencils.
+    """Spectral weights of the block pencils r0[i] - t r1[i] (B blocks each)
+    for every threshold t in ``thresholds[i]``, diagonalized in batches of at
+    most ``stack_step`` blocks.
 
     The pencils run rank-major (every member's first threshold, then every
     second one, ...), so each member meets its thresholds in their order.
     Yields per batch (owner, v, pos, zero, a0, b0, c1, d1): the member of
-    each pencil, its eigenvectors, the masks of the
-    eigenvalues above and within the boundary tolerance 1e-8 max(1, |w|_max),
-    and the weights of r0 (a0, b0) and r1 (c1, d1) on those two spans.  Each
-    pencil gets the bits a call on it alone gives.
+    each pencil, its blocks' eigenvectors, the masks of the eigenvalues above
+    and within the boundary tolerance 1e-8 max(1, |w|_max) over all blocks,
+    and the weights of r0 (a0, b0) and r1 (c1, d1) on those two spans summed
+    over the blocks.  Each pencil gets the bits a call on it alone gives.
     """
     counts = [len(row) for row in thresholds]
     rank = np.concatenate([np.arange(c) for c in counts]) if counts else np.zeros(0, int)
@@ -302,57 +309,63 @@ def _pencil_weights(r0: np.ndarray, r1: np.ndarray, thresholds):
     ts = np.array([t for row in thresholds for t in row], dtype=float)
     order = np.lexsort((member, rank))
     member, ts = member[order], ts[order]
-    dim = r0.shape[-1]
-    step = stack_step(dim)
+    blocks, dim = r0.shape[1], r0.shape[-1]
+    step = max(1, stack_step(dim) // blocks)
     for lo in range(0, len(ts), step):
         m, t = member[lo:lo + step], ts[lo:lo + step]
         if (m == m[0]).all():  # one member: views that broadcast, not copies
             p0, p1 = r0[m[0]][None], r1[m[0]][None]
         else:
             p0, p1 = r0[m], r1[m]
-        w, v = np.linalg.eigh(p0 - t[:, None, None] * p1)
-        tol_b = 1e-8 * np.maximum(1.0, np.abs(w).max(axis=-1))[:, None]
+        w, v = np.linalg.eigh(p0 - t[:, None, None, None] * p1)
+        tol_b = 1e-8 * np.maximum(1.0, np.abs(w).max(axis=(-2, -1)))[:, None, None]
         pos, zero = w > tol_b, np.abs(w) <= tol_b
         # eigenvalues ascend, so the positive span is the last n_pos columns
-        # and the boundary span the n_zero columns before them; pencils with
+        # and the boundary span the n_zero columns before them; blocks with
         # equal counts are weighted together on contiguous copies of the
         # spans, as the single call's v[:, mask] copies them
-        n_pos, n_zero = pos.sum(axis=-1), zero.sum(axis=-1)
-        weights = np.zeros((4, len(t)))
+        n_pos, n_zero = pos.sum(axis=-1).ravel(), zero.sum(axis=-1).ravel()
+        flat_v = v.reshape(-1, dim, dim)
+        flat0, flat1 = (np.broadcast_to(p, v.shape).reshape(flat_v.shape) for p in (p0, p1))
+        weights = np.zeros((4, len(flat_v)))
         key = n_pos * (dim + 1) + n_zero
         for g in np.unique(key).tolist():
             idx = np.flatnonzero(key == g)
             k_pos, k_zero = divmod(g, dim + 1)
-            whole = len(idx) == len(t)
-            vg = v if whole else v[idx]
-            g0, g1 = (p0, p1) if whole or len(p0) == 1 else (p0[idx], p1[idx])
+            whole = len(idx) == len(key)
+            vg, g0, g1 = (flat_v, flat0, flat1) if whole else (flat_v[idx], flat0[idx], flat1[idx])
             spans = (vg[..., dim - k_pos:], vg[..., dim - k_pos - k_zero:dim - k_pos])
             for row, (cols, mats) in enumerate(itertools.product(spans, (g0, g1))):
                 if cols.shape[-1]:
                     weights[row, idx] = _span_weight(np.ascontiguousarray(cols), mats)
-        a0, c1, b0, d1 = weights
+        a0, c1, b0, d1 = weights.reshape(4, len(t), blocks).sum(axis=-1)
         yield m, v, pos, zero, a0, b0, c1, d1
 
 
-def _threshold_test(v: np.ndarray, pos: np.ndarray, zero: np.ndarray, x: float) -> np.ndarray:
-    """The projector onto the columns ``pos`` of ``v`` plus x times the one
-    onto the columns ``zero``."""
-    test = v[:, pos] @ v[:, pos].conj().T
-    if x > 0.0 and zero.any():
-        test = test + x * (v[:, zero] @ v[:, zero].conj().T)
-    return test
-
-
 def _np_sweep(r0: np.ndarray, r1: np.ndarray, eps, tests: bool = False):
-    """The threshold sweep of ``neyman_pearson_beta`` over stacks (N, d, d).
+    """The threshold sweep of ``neyman_pearson_beta`` over stacks (N, B, d, d)
+    of block-diagonal pairs, each member given by its B blocks (B = 1 for
+    dense pairs) and solved as their direct sum.
 
     ``eps`` is one budget or one per member.  Candidates are taken in the
     single call's order, so each member gets its bits.  Returns the list of
-    betas and, with ``tests``, the list of optimal test matrices (else None).
+    betas and, with ``tests``, the list of optimal tests as blocks (B, d, d)
+    (else None).
     """
+    eps = np.asarray(eps, dtype=float)
+    i = la.first_member(~((eps >= 0.0) & (eps < 1.0)))
+    if i is not None:
+        raise DomainError(f"eps must lie in [0,1); got {float(eps.flat[i])!r}")
+    if r0.shape != r1.shape:
+        raise DimensionMismatchError(f"hypothesis dims {r0.shape[-1]} vs {r1.shape[-1]}")
     n = len(r0)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
-    thresholds = [_pencil_thresholds(a, b) for a, b in zip(r0, r1)]
+    eps = np.broadcast_to(eps, (n,))
+    # tests supported on the kernel of rho1 cost no beta; the kernel is
+    # judged on the scale of the member's largest rho1 eigenvalue
+    w1, v1 = np.linalg.eigh(r1)
+    on_kernel = w1 <= SUPPORT_TOL * np.maximum(1.0, w1[..., -1].max(axis=-1))[:, None, None]
+    kernel = on_kernel.any(axis=(-2, -1))
+    thresholds = _pencil_thresholds(r0, r1, kernel)
     best, found = [None] * n, [None] * n
 
     def improves(k, beta):
@@ -373,19 +386,21 @@ def _np_sweep(r0: np.ndarray, r1: np.ndarray, eps, tests: bool = False):
         betas, owner = (c1 + x * d1).tolist(), owner.tolist()
         for j in np.flatnonzero(flat | mixed).tolist():
             if improves(owner[j], betas[j]):
-                found[owner[j]] = _threshold_test(v[j], pos[j], zero[j], float(x[j]))
+                # per block: the projector onto the positive span plus x
+                # times the one onto the boundary span
+                found[owner[j]] = la.from_spectrum(pos[j] + x[j] * zero[j], v[j])
 
-    # limiting threshold: tests supported on the kernel of rho1 cost no beta
-    w1, v1 = np.linalg.eigh(r1)
-    on_kernel = w1 <= SUPPORT_TOL * np.maximum(1.0, w1[:, -1])[:, None]
-    for k in np.flatnonzero(on_kernel.any(axis=-1)).tolist():
-        ker = v1[k][:, on_kernel[k]]
-        comp = la.hermitize(ker.conj().T @ r0[k] @ ker, tol=1e-9)
-        wk, vk = np.linalg.eigh(comp)
-        cols = ker @ vk[:, wk > 1e-12]
-        if 1.0 - _weights(cols, r0[k]) <= eps[k] + 1e-12:
-            if improves(k, _weights(cols, r1[k])):
-                found[k] = cols @ cols.conj().T
+    # limiting threshold: the support of rho0 inside the kernel of rho1
+    for k in np.flatnonzero(kernel).tolist():
+        cols = []
+        for r0b, vb, kb in zip(r0[k], v1[k], on_kernel[k]):
+            ker = vb[:, kb]
+            wk, vk = np.linalg.eigh(la.hermitize(ker.conj().T @ r0b @ ker, tol=1e-9))
+            cols.append(ker @ vk[:, wk > 1e-12])
+        type_one, type_two = (sum(float(_span_weight(c[None], m[None])[0])
+                                  for c, m in zip(cols, mats)) for mats in (r0[k], r1[k]))
+        if 1.0 - type_one <= eps[k] + 1e-12 and improves(k, type_two):
+            found[k] = np.stack([c @ c.conj().T for c in cols])
 
     if any(b is None for b in best):
         # unreachable: t = 0 keeps the support of rho0, whose type-I error is 0
@@ -402,26 +417,17 @@ def neyman_pearson_beta(rho0: DensityMatrix, rho1: DensityMatrix, eps: float):
     type-I error equals eps exactly whenever that lowers beta.  Returns
     (beta, test).
     """
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"eps must lie in [0,1); got {eps!r}")
-    r0, r1 = rho0.entries, rho1.entries
-    if r0.shape != r1.shape:
-        raise DimensionMismatchError(f"hypothesis dims {r0.shape[0]} vs {r1.shape[0]}")
-    betas, tests = _np_sweep(r0[None], r1[None], eps, tests=True)
-    return betas[0], HermitianOperator(la.hermitize(tests[0], tol=1e-9), rho0.subsystem_dims)
+    betas, tests = _np_sweep(rho0.entries[None, None], rho1.entries[None, None], eps, tests=True)
+    return betas[0], HermitianOperator(la.hermitize(tests[0][0], tol=1e-9), rho0.subsystem_dims)
 
 
 def neyman_pearson_beta_stack(r0: np.ndarray, r1: np.ndarray, eps) -> np.ndarray:
     """The beta of ``neyman_pearson_beta`` for each pair of density-matrix
-    entries in stacks (N, d, d), with one budget ``eps`` or one per pair."""
-    eps_arr = np.asarray(eps, dtype=float)
-    bad = ~((eps_arr >= 0.0) & (eps_arr < 1.0))
-    i = la.first_member(bad)
-    if i is not None:
-        raise DomainError(f"eps must lie in [0,1); got {float(eps_arr.flat[i])!r}")
-    if r0.shape != r1.shape:
-        raise DimensionMismatchError(f"hypothesis dims {r0.shape[-1]} vs {r1.shape[-1]}")
-    return np.array(_np_sweep(r0, r1, eps_arr)[0], dtype=float)
+    entries in stacks (N, d, d), or of block-diagonal density matrices given
+    by their blocks (N, B, d, d), with one budget ``eps`` or one per pair."""
+    if r0.ndim == 3:
+        r0, r1 = r0[:, None], r1[:, None]
+    return np.array(_np_sweep(r0, r1, eps)[0], dtype=float)
 
 
 def _test_entries(t_op) -> np.ndarray:
@@ -455,8 +461,8 @@ def product_label(labels) -> str:
     return ",".join(labels)
 
 
-def product_source(src: CQSource, n: int) -> CQSource:
-    """The n-fold memoryless extension of a source, over sequences of symbols."""
+def check_product_dim(src: CQSource, n: int):
+    """Reject n < 1 and n-letter joint dimensions (|X| d_y)^n above the cap."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     joint_dim = (src.size * src.d_y) ** n
@@ -464,6 +470,11 @@ def product_source(src: CQSource, n: int) -> CQSource:
         raise ResourceCapError(
             f"joint dimension (|X| d_y)^n = {joint_dim} exceeds the cap {MAX_TOTAL_DIM}"
         )
+
+
+def product_source(src: CQSource, n: int) -> CQSource:
+    """The n-fold memoryless extension of a source, over sequences of symbols."""
+    check_product_dim(src, n)
     if n == 1:
         return src
     probs, mats = product_stack(src.q_x, stack_entries(src.states), n)
@@ -521,15 +532,6 @@ def message_blocks(weights: np.ndarray, mass: np.ndarray, states: np.ndarray, ow
         term = states[x] if owner is None else states[owner[kept[rows]], x]
         out[rows] += w[rows, x, None, None] * term
     return kept, out
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrices (..., b d, b d) from equal blocks (..., b, d, d)."""
-    b, d = blocks.shape[-3], blocks.shape[-1]
-    out = np.zeros(blocks.shape[:-3] + (b * d, b * d), dtype=complex)
-    for j in range(b):
-        out[..., j * d : (j + 1) * d, j * d : (j + 1) * d] = blocks[..., j, :, :]
-    return out
 
 
 def encode_stack(q: np.ndarray, states: np.ndarray, kernels: np.ndarray):
@@ -642,8 +644,8 @@ def _encoder_betas(assignments, src_n: CQSource, rho1_entries: np.ndarray, eps: 
     for b in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == b)
         sel = np.isin(enc, rows)
-        null = density_stack(_block_diag(null_blocks[sel].reshape(len(rows), b, d, d)))
-        alt = density_stack(_block_diag(alt_blocks[sel].reshape(len(rows), b, d, d)))
+        null = density_stack(null_blocks[sel].reshape(len(rows), b, d, d), blocks=True)
+        alt = density_stack(alt_blocks[sel].reshape(len(rows), b, d, d), blocks=True)
         for i, beta in zip(rows.tolist(), _np_sweep(null, alt, eps)[0]):
             betas[i] = beta
     return betas

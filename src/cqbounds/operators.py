@@ -20,14 +20,17 @@ def _check_dim(dim: int):
         )
 
 
-def _density_checks(arr: np.ndarray):
-    """Trace and spectrum checks of Hermitian matrices (..., d, d).
+def _density_checks(arr: np.ndarray, blocks: bool = False):
+    """Trace and spectrum checks of Hermitian matrices (..., d, d), or with
+    ``blocks`` of block-diagonal ones given by their blocks (..., B, d, d).
 
     Each check rejects its first failing member.  Returns the entries, with
     eigenvalues in [-1e-10, 0) clipped to 0 (a new array only if some member
     was clipped), and each member's smallest eigenvalue after clipping.
     """
     tr = np.trace(arr, axis1=-2, axis2=-1).real
+    if blocks:
+        tr = tr.sum(axis=-1)
     i = la.first_member(np.abs(tr - 1.0) > 1e-10)
     if i is not None:
         raise ValidationError(f"trace {float(tr.flat[i])!r} differs from 1 by more than 1e-10")
@@ -46,16 +49,18 @@ def _density_checks(arr: np.ndarray):
     return arr, w_min
 
 
-def density_stack(entries) -> np.ndarray:
+def density_stack(entries, blocks: bool = False) -> np.ndarray:
     """Validate a stack (..., d, d) of density matrices member by member.
 
     Applies every check of :class:`DensityMatrix` to each member (Hermiticity
     within 1e-10, the dimension cap, unit trace within 1e-10, eigenvalues
     clipped from [-1e-10, 0)) and returns the symmetrized, clipped stack.
+    With ``blocks`` the members are block diagonal, given by their blocks
+    (..., B, d, d): the cap holds for B d and the block traces sum to 1.
     """
     arr = la.hermitize(entries, HERMITIAN_TOL)
-    _check_dim(arr.shape[-1])
-    return _density_checks(arr)[0]
+    _check_dim(arr.shape[-1] * (arr.shape[-3] if blocks else 1))
+    return _density_checks(arr, blocks)[0]
 
 
 class HermitianOperator:

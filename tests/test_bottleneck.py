@@ -24,6 +24,8 @@ from cqbounds import (
     tensor_all,
     typical_set,
 )
+from cqbounds import bottleneck as bn
+from cqbounds import hyptest as ht
 from cqbounds._linalg import expm_herm, logm_psd
 from cqbounds.bottleneck import _ChannelWork, _DeltaWork
 from cqbounds.config import STACK_BYTES
@@ -110,6 +112,36 @@ def test_delta_grid_agreement():
         grid = delta_grid_value(inst)
         assert abs(solver.value - grid.value) < 1e-3
         assert solver.value >= grid.value - 1e-9  # solver at least matches the grid
+
+
+def _one_point_objective(work, gamma):
+    """The Delta objective at one grid point, summed as a one-point call
+    sums it: one eigh, sums over the positive eigenvalues and entries."""
+    sigma = work.mix(gamma)
+    w = np.linalg.eigh(sigma)[0]
+    pos = w > 1e-12
+    d_out = float(np.sum(w[pos] * np.log(w[pos]))) - float(
+        (sigma * work.log_nu.swapaxes(-1, -2)).sum().real)
+    g_pos, m_pos = gamma[gamma > 0.0], work.mu_s[gamma > 0.0]
+    return work.c * d_out - float(np.sum(g_pos * np.log(g_pos / m_pos)))
+
+
+def test_delta_grid_stack_matches_one_point_loop(monkeypatch):
+    # 2,145 grid points at |X| = 3, in stacks of 100 mixtures: every value
+    # and the returned gamma have the bits of the one-point loop
+    monkeypatch.setattr(ht, "STACK_BYTES", 16 * 3 * 3 * 100)
+    rng = np.random.default_rng(31)
+    for k, d in ((2, 2), (3, 2), (3, 3)):
+        states = _random_states(rng, k, d)
+        mu = rng.dirichlet(np.ones(k)) * 0.9
+        nu = random_density(d, int(rng.integers(0, 2**31)), min_eig_floor=0.05)
+        work = _DeltaWork(mu, states, nu, 1.5)
+        grid = np.array(list(bn._compositions(64, k)), dtype=float) / 64
+        want = [_one_point_objective(work, g) for g in grid]
+        assert work.objective_and_eig(grid)[0].tolist() == want
+        val, gamma = bn._delta_grid(work, k)
+        first = int(np.argmax(want))
+        assert val == want[first] and gamma.tolist() == grid[first].tolist()
 
 
 def test_delta_variational_examples():

@@ -2,7 +2,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from cqbounds import CQSource, ValidationError, random_density
 from cqbounds.cli import main
@@ -253,6 +255,27 @@ def test_cli_beta_on_example_model_is_pinned(tmp_path, argv, want):
     lines = _read(out).splitlines()
     for line in want:
         assert line in lines
+
+
+def test_cli_beta_diagonalizes_no_matrix_beyond_one_block(tmp_path, monkeypatch):
+    # the n-letter states are block diagonal in x^n: every spectral call of
+    # beta --n 4 stays within one d_y^n = 16 block, none sees the 256 x 256
+    # joint states
+    dims = []
+
+    def watch(fn):
+        def wrapped(a, *args, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, watch(getattr(np.linalg, name)))
+    monkeypatch.setattr(scipy.linalg, "eig", watch(scipy.linalg.eig))
+    out = tmp_path / "beta.txt"
+    assert main(["beta", "--n", "4", "--eps", "0.3", "--model", EXAMPLE_MODEL,
+                 "--out", str(out)]) == 0
+    assert dims and max(dims) == 16
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from cqbounds import hyptest as ht
+from cqbounds.operators import density_stack
 from cqbounds import (
     CQSource,
     DensityMatrix,
@@ -294,9 +295,9 @@ def test_brute_force_matches_independent_oracle():
 
 
 def _encoder_loop_reference(src, n, r1, eps):
-    """Brute force as a plain loop: each encoder's block-diagonal states, its
-    blocks in increasing message order and blocks of mass <= 1e-14 dropped,
-    solved by one ``neyman_pearson_beta`` call; first minimum wins."""
+    """Brute force as a plain loop: each encoder's blocks in increasing
+    message order, blocks of mass <= 1e-14 dropped, solved block by block as
+    a stack of one; first minimum wins."""
     src_n = product_source(src, n)
     rho1 = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
     best = None
@@ -309,9 +310,8 @@ def _encoder_loop_reference(src, n, r1, eps):
                 continue
             null_blocks.append(sum(src_n.q_x[i] * src_n.states[i].entries for i in members))
             alt_blocks.append(p * rho1)
-        null = DensityMatrix(scipy.linalg.block_diag(*null_blocks))
-        alt = DensityMatrix(scipy.linalg.block_diag(*alt_blocks))
-        beta, _ = neyman_pearson_beta(null, alt, eps)
+        null, alt = (density_stack(np.stack(b)[None], blocks=True) for b in (null_blocks, alt_blocks))
+        beta = float(ht.neyman_pearson_beta_stack(null, alt, eps)[0])
         if best is None or beta < best[0]:
             best = (beta, assignment)
     return best
@@ -366,6 +366,47 @@ def test_stacked_neyman_pearson_matches_single_calls():
         assert got == neyman_pearson_beta(rho0, rho1, e)[0]
     with pytest.raises(DomainError):
         ht.neyman_pearson_beta_stack(r0, r1, [0.3] * 23 + [float("nan")])
+
+
+def _cq_blocks(seed, blocks, dim, rank_deficient=False):
+    """A random pair of block-diagonal states with ``blocks`` blocks: masses
+    q_b and blocks q_b rho_b, q_b sigma_b.  With ``rank_deficient`` the
+    sigma_b of even b lose their smallest eigenvalue.  Block 1 repeats block
+    0's pair, so their thresholds coincide."""
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.ones(blocks))
+    r0 = np.stack([random_density(dim, 10 * seed + b).entries for b in range(blocks)])
+    r1 = np.stack([random_density(dim, 10 * seed + 5 + b, min_eig_floor=0.02).entries
+                   for b in range(blocks)])
+    if rank_deficient:
+        for b in range(0, blocks, 2):
+            w, v = np.linalg.eigh(r1[b])
+            w[0] = 0.0
+            r1[b] = (v * (w / w.sum())) @ v.conj().T
+    r0[1], r1[1] = r0[0], r1[0]
+    return q[:, None, None] * r0, q[:, None, None] * r1
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+@pytest.mark.parametrize("eps", [1e-6, 0.05, 0.3, 0.7, 0.999])
+def test_blockwise_neyman_pearson_matches_dense(eps, rank_deficient):
+    for seed in range(6):
+        r0, r1 = _cq_blocks(seed, 2 + seed % 3, 2 + seed % 2, rank_deficient)
+        dense, _ = neyman_pearson_beta(DensityMatrix(scipy.linalg.block_diag(*r0)),
+                                       DensityMatrix(scipy.linalg.block_diag(*r1)), eps)
+        blockwise = ht.neyman_pearson_beta_stack(r0[None], r1[None], eps)[0]
+        assert abs(blockwise - dense) <= 1e-12
+
+
+def test_stacked_blockwise_neyman_pearson_matches_single_calls(monkeypatch):
+    pairs = [_cq_blocks(seed, 3, 2, rank_deficient=seed % 3 == 0) for seed in range(12)]
+    r0, r1 = (np.stack(m) for m in zip(*pairs))
+    eps = np.linspace(0.02, 0.95, len(pairs))
+    # a few pencils per stacked step, so steps mix members and split them
+    monkeypatch.setattr(ht, "STACK_BYTES", 16 * 2 * 2 * 7)
+    stacked = ht.neyman_pearson_beta_stack(r0, r1, eps).tolist()
+    for a, b, e, got in zip(r0, r1, eps.tolist(), stacked):
+        assert got == ht.neyman_pearson_beta_stack(a[None], b[None], e)[0]
 
 
 def test_brute_force_monotonicity():
