@@ -4,13 +4,21 @@ finite-blocklength strong-converse bounds of small classical-quantum systems.
 Everything computes in nats; ``EntropyValue`` carries a derived bits view.
 """
 
+import ctypes as _ctypes
+import glob as _glob
 import os as _os
 
 # small dense problems: pin BLAS to one thread, whatever the environment says,
-# so results do not depend on the ambient thread configuration (the pin takes
-# effect only when numpy has not been imported yet)
+# so results do not depend on the ambient thread configuration.  OpenBLAS reads
+# the variables once, when it loads, so the OpenBLAS copies bundled with numpy
+# and scipy are also set at run time, in case numpy was imported first
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     _os.environ[_var] = "1"
+for _pkg in ("numpy", "scipy"):
+    _libs = _os.path.join(_os.path.dirname(__import__(_pkg).__path__[0]), _pkg + ".libs")
+    for _path in _glob.glob(_os.path.join(_libs, "libscipy_openblas*.so")):
+        for _setter in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            getattr(_ctypes.CDLL(_path), _setter, lambda _n: None)(1)
 
 from .bottleneck import (  # noqa: E402
     ChannelWithPosterior,

@@ -127,7 +127,9 @@ class _DeltaWork:
 
     ``mu`` has one entry per sequence s in X^n (lexicographic order), whose
     state is rho_{s_1} (x) ... (x) rho_{s_n} over the single-letter
-    ``states``; n = 1 is a plain instance.  The products over the last m
+    ``states``; n = 1 is a plain instance.  ``nu`` is the single-letter
+    reference; the work forms nu^n = ``nu_n`` itself, so the states and the
+    reference are i.i.d. by construction.  The products over the last m
     sites are held as one dense block, m as large as fits in ``STACK_BYTES``
     (at least 1); mixtures and traces meet that block in one step and
     contract the n - m leading sites one at a time (Van Loan, "The ubiquitous
@@ -136,6 +138,8 @@ class _DeltaWork:
     """
 
     def __init__(self, mu, states, nu, c: float, n: int = 1):
+        self.nu_n = tensor_all([nu] * n) if n > 1 else nu
+        _check_delta_input(mu, states, self.nu_n, c, n)
         mu = np.asarray(mu, dtype=float)
         self.support = np.flatnonzero(mu > 0.0)
         if self.support.size == 0:
@@ -145,6 +149,11 @@ class _DeltaWork:
         self.log_mu = np.log(self.mu_s)
         self.sites = stack_entries(states)
         k, d = self.sites.shape[:2]
+        # the type class of each sequence is its sorted symbols; ``types``
+        # labels the support's classes when mu is constant on every class
+        seqs = np.sort(np.arange(k**n)[:, None] // k ** np.arange(n) % k, axis=1)
+        _, first, cls = np.unique(seqs, axis=0, return_index=True, return_inverse=True)
+        self.types = cls[self.support] if np.all(mu == mu[first][cls]) else None
         self.n, self.m = n, 1
         while self.m < n and 16 * (k * d * d) ** (self.m + 1) <= STACK_BYTES:
             self.m += 1
@@ -153,7 +162,7 @@ class _DeltaWork:
             dim = block.shape[-1] * d
             block = la.kron_pairs(block[:, None], self.sites[None]).reshape(-1, dim, dim)
         self.block = block
-        self.log_nu = la.logm_psd(_as_array(nu))
+        self.log_nu = la.logm_psd(_as_array(self.nu_n))
         self.tr_lognu = self.traces(self.log_nu)
 
     def mix(self, gamma):
@@ -252,10 +261,25 @@ def delta(inst: DeltaInstance, multistarts: int = 32, cross_check: bool = True) 
 
 def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = True):
     """(best value, best gamma on the support) for ``delta``: at most 500
-    fixed-point steps per start, stopping when the value moves < 1e-10."""
+    fixed-point steps per start, stopping when the value moves < 1e-10.
+
+    When mu is constant on every type class of X^n (``work.types``), the
+    problem is invariant under permutations of the sites: the states and
+    nu^n are i.i.d., which ``_DeltaWork`` guarantees.  Two vertex starts in
+    one type class then follow permuted trajectories to equal values, so
+    only the first vertex of each class runs (Csiszar & Korner, ch. 2).  The
+    Dirichlet starts are never dropped: no permutation maps one onto another.
+    The kept starts run in their usual order, so ties resolve as before.
+    """
     k = work.support.size
     best_val, best_gamma = -math.inf, None
-    for start in _delta_starts(k, multistarts):
+    starts = _delta_starts(k, multistarts)
+    if work.types is not None:
+        # vertex i of the support is start i + 1
+        vertices = min(k, max(0, multistarts - 1))
+        keep = set(np.unique(work.types[:vertices], return_index=True)[1] + 1)
+        starts = [s for i, s in enumerate(starts) if not 1 <= i <= vertices or i in keep]
+    for start in starts:
         gamma = start
         prev = -math.inf
         start_best = -math.inf
@@ -633,6 +657,9 @@ def single_letter_gap(q, states, nu, c: float, n: int, delta: float, u_size: int
     """Certificate that the n-letter trade-off is controlled by the single
     letter one:  delta(restricted product measure) <= n delta* + penalty,
     with penalty (c+1) ln(eta) sqrt(3 n eta ln(|X|/delta)).
+
+    The typical-set measure is constant on type classes, so the Delta
+    multistart runs one vertex start per class (see ``_solve_delta``).
     """
     q = np.asarray(q, dtype=float)
     states = tuple(states)
@@ -645,9 +672,7 @@ def single_letter_gap(q, states, nu, c: float, n: int, delta: float, u_size: int
     eta = float(1.0 / np.min(q))
     mu_n = np.zeros(k**n)
     mu_n[np.ravel_multi_index(np.asarray(ts.members).T, (k,) * n)] = ts.mu_n
-    nu_n = tensor_all([nu] * n)
-    _check_delta_input(mu_n, states, nu_n, c, n)
-    lhs, _ = _solve_delta(_DeltaWork(mu_n, states, nu_n, c, n), multistarts)
+    lhs, _ = _solve_delta(_DeltaWork(mu_n, states, nu, c, n), multistarts)
     star = delta_star(q, states, nu, c, u_size, multistarts=star_multistarts).value
     penalty = (c + 1.0) * math.log(eta) * math.sqrt(3.0 * n * eta * math.log(k / delta))
     report = BoundReport(

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _linalg as la
-from .bottleneck import _check_delta_input, _DeltaWork, _solve_delta, chain_informations, delta_star
+from .bottleneck import _DeltaWork, _solve_delta, chain_informations, delta_star
 from .entropy import relative_entropy
 from .errors import (
     DimensionMismatchError,
@@ -38,7 +38,6 @@ from .operators import (
     _as_dims,
     density_stack,
     stack_entries,
-    tensor_all,
 )
 from .reports import BoundReport
 from .semigroup import InequalityMargin, psi_map_sites
@@ -252,7 +251,7 @@ def _n_letter_delta(mu_n, src: CQSource, t_n, ref, c: float, multistarts: int):
     """The checks and the Delta term of the key inequality and the
     single-test image-size bound: the test entries, n, mu_n on its support
     (sequences in lexicographic order), tr[rho_x^n T] on that support, ref^n,
-    and Delta(mu_n, ref^n, c)."""
+    and Delta(mu_n, ref^n, c) for the single-letter ``ref``."""
     t_arr = _test_entries(t_n)
     dims = _as_dims(t_n)
     if any(d != src.d_y for d in dims):
@@ -260,11 +259,9 @@ def _n_letter_delta(mu_n, src: CQSource, t_n, ref, c: float, multistarts: int):
             f"test subsystems {dims} do not match the output dimension {src.d_y}"
         )
     n = len(dims)
-    ref_n = tensor_all([ref] * n)
-    _check_delta_input(mu_n, src.states, ref_n, c, n)
-    work = _DeltaWork(mu_n, src.states, ref_n, c, n)
+    work = _DeltaWork(mu_n, src.states, ref, c, n)
     d_val = _solve_delta(work, multistarts)[0]
-    return t_arr, n, work.mu_s, work.traces(t_arr), ref_n, d_val
+    return t_arr, n, work.mu_s, work.traces(t_arr), work.nu_n, d_val
 
 
 def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,

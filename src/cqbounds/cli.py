@@ -5,11 +5,11 @@ machine-readable reports: a structured text file of ``name = value [unit]``
 rows plus CSV margin tables for suites and sweeps.
 
 Exit codes: 0 success, 2 validation or domain error, 3 precondition
-(threshold) error, 4 resource-cap error.  All randomized commands require an
-explicit ``--seed`` and are bit-reproducible given it.  Suites run on one
-thread, their instances evaluated as stacked arrays, and importing
-``cqbounds`` pins BLAS to one thread whatever the environment sets, so the
-output does not depend on the thread configuration.
+(threshold) error, 4 resource-cap error, 5 a verify check failed.  All
+randomized commands require an explicit ``--seed`` and are bit-reproducible
+given it.  Suites run on one thread, their instances evaluated as stacked
+arrays, and importing ``cqbounds`` pins BLAS to one thread whatever the
+environment sets, so the output does not depend on the thread configuration.
 """
 
 from __future__ import annotations
@@ -234,7 +234,6 @@ def _cmd_verify(args, report: Report, out_base: str):
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(vf.SUITES))}"
         )
     overall = True
-    csv_paths = []
     for name in names:
         res = vf.run_suite(name, args.seed, args.instances)
         overall = overall and res.passed
@@ -242,11 +241,9 @@ def _cmd_verify(args, report: Report, out_base: str):
         report.add(f"suite[{name}].min_margin", res.summary["min_margin"])
         report.add(f"suite[{name}].tolerance", res.summary["tolerance"])
         report.add(f"suite[{name}].pass", res.passed)
-        path = f"{out_base}.{name}.csv"
-        _write_csv(path, res.columns, res.rows)
-        csv_paths.append(path)
+        _write_csv(f"{out_base}.{name}.csv", res.columns, res.rows)
     report.add("overall_pass", overall)
-    return csv_paths
+    return overall
 
 
 _SWEEPABLE = {
@@ -406,7 +403,7 @@ def main(argv=None) -> int:
         # each command's handler is _cmd_<command>; the two that write CSV
         # files also take their base path
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
-        handler(args, report, *((out_base,) if args.command in ("verify", "sweep") else ()))
+        passed = handler(args, report, *((out_base,) if args.command in ("verify", "sweep") else ()))
         report.write(args.out)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -420,7 +417,8 @@ def main(argv=None) -> int:
     except CQBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    # verify writes its report also when a suite fails, then exits 5
+    return 5 if args.command == "verify" and not passed else 0
 
 
 if __name__ == "__main__":

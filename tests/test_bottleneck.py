@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from pathlib import Path
 
@@ -325,11 +326,120 @@ def test_n_letter_delta_work_holds_no_state_stack_beyond_stack_bytes():
     # last four sites, 16 x 16 x 16 entries
     n = 8
     states = [random_density(2, s, min_eig_floor=0.05) for s in (1, 2)]
-    nu_n = tensor_all([random_density(2, 3, min_eig_floor=0.1)] * n)
-    work = _DeltaWork(np.full(2**n, 1.0 / 2**n), states, nu_n, 1.5, n)
+    nu = random_density(2, 3, min_eig_floor=0.1)
+    work = _DeltaWork(np.full(2**n, 1.0 / 2**n), states, nu, 1.5, n)
     stacks = [a for a in vars(work).values() if isinstance(a, np.ndarray) and a.ndim == 3]
     assert stacks and all(a.nbytes <= STACK_BYTES for a in stacks)
     assert work.block.shape == (16, 16, 16)
+    # the work forms nu^n from the single-letter nu
+    assert np.array_equal(work.nu_n.entries, tensor_all([nu] * n).entries)
+
+
+def test_n_letter_delta_rejects_nu_whose_tensor_power_is_rank_deficient():
+    # nu's smallest eigenvalue 1e-3 passes alone, but nu^5 has 1e-15 < 1e-10
+    states = [random_density(2, s, min_eig_floor=0.05) for s in (1, 2)]
+    nu = DensityMatrix(np.diag([1.0 - 1e-3, 1e-3]))
+    _DeltaWork(np.full(2, 0.5), states, nu, 1.5)
+    with pytest.raises(ValidationError, match="full rank"):
+        _DeltaWork(np.full(2**5, 1.0 / 2**5), states, nu, 1.5, 5)
+    with pytest.raises(ValidationError, match="full rank"):
+        single_letter_gap(np.array([0.5, 0.5]), states, nu, 1.5, 5, 0.9, 3)
+
+
+def _without_type_reduction(monkeypatch):
+    init = _DeltaWork.__init__
+
+    def run_every_start(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.types = None
+
+    monkeypatch.setattr(_DeltaWork, "__init__", run_every_start)
+
+
+def _gap_instances():
+    """The single-letter suite's source and the product-states benchmark's
+    family source (seed 1, pass 0), each with its average state as nu."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    family = wl.family_source(2, 2, wl.haar_unitary(wl.pass_rng(1, 0, 2), 2),
+                              uniform_q=True, floor=0.02)
+    suite = [random_density(2, s, min_eig_floor=0.02) for s in (84, 85)]
+    return {"suite": (suite, DensityMatrix(0.5 * (suite[0].entries + suite[1].entries))),
+            "family": (family.states, family.rho_y)}
+
+
+def _gap_lhs_and_gamma(monkeypatch, states, nu, n):
+    """single_letter_gap's lhs and the gamma of its Delta solve."""
+    solved, solve = [], bn._solve_delta
+    monkeypatch.setattr(bn, "_solve_delta", lambda *args: solved.append(solve(*args)) or solved[-1])
+    report = single_letter_gap(np.array([0.5, 0.5]), states, nu, 1.5, n, 0.9, 3)
+    assert report.constants["lhs"] == solved[0][0]
+    return solved[0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_type_class_reduction_keeps_single_letter_gap_bits(monkeypatch, n):
+    # only vertex starts that a site permutation maps onto an earlier one are
+    # dropped, so lhs and the best gamma keep the bits of a run of every start
+    for states, nu in _gap_instances().values():
+        with monkeypatch.context() as m:
+            got = _gap_lhs_and_gamma(m, states, nu, n)
+        with monkeypatch.context() as m:
+            _without_type_reduction(m)
+            want = _gap_lhs_and_gamma(m, states, nu, n)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+
+def _started(monkeypatch, mu, n):
+    """Number of starts _solve_delta runs on mu at blocklength n: each start
+    stops after its first evaluation."""
+    starts, calls = [], []
+    draw = bn._delta_starts
+    states = [random_density(2, s, min_eig_floor=0.05) for s in (1, 2)]
+    work = _DeltaWork(mu, states, random_density(2, 3, min_eig_floor=0.1), 1.5, n)
+    with monkeypatch.context() as m:
+        m.setattr(bn, "_delta_starts", lambda k, count: starts.extend(draw(k, count)) or starts)
+        m.setattr(_DeltaWork, "objective_and_eig",
+                  lambda self, gamma: (calls.append(gamma) or 0.0, None))
+        m.setattr(_DeltaWork, "fixed_point_step", lambda self, eig: None)
+        bn._solve_delta(work, 32, cross_check=False)
+    assert len(starts) == 32 and all(any(g is s for s in starts) for g in calls)
+    return len(calls)
+
+
+def _typical_mu(n):
+    """The typical set of the uniform binary source at blocklength n, and
+    its measure over all 2^n sequences, as single_letter_gap builds it."""
+    ts = typical_set(np.array([0.5, 0.5]), n, 0.9)
+    mu_n = np.zeros(2**n)
+    mu_n[np.ravel_multi_index(np.asarray(ts.members).T, (2,) * n)] = ts.mu_n
+    return ts, mu_n
+
+
+def test_type_class_reduction_runs_one_vertex_per_class_only_on_class_constant_mu(monkeypatch):
+    n = 7
+    ts, mu_n = _typical_mu(n)
+    # the first 31 support sequences are the vertex starts; no Dirichlet
+    # start is left, and the vertices fall into 5 type classes
+    classes = {tuple(sorted(seq)) for seq in ts.members[:31]}
+    assert len(ts.members) == 126 and len(classes) == 5
+    assert _started(monkeypatch, mu_n, n) == 1 + len(classes)
+    # a Dirichlet mu, or the typical mu with one entry one ulp away
+    rng = np.random.default_rng(5)
+    assert _started(monkeypatch, rng.dirichlet(np.ones(2**n)), n) == 32
+    nudged = mu_n.copy()
+    i = np.flatnonzero(mu_n)[40]
+    nudged[i] = np.nextafter(mu_n[i], 1.0)
+    assert _started(monkeypatch, nudged, n) == 32
+    # a support of 30 sequences leaves one Dirichlet start, which always runs
+    ts5, mu5 = _typical_mu(5)
+    classes5 = {tuple(sorted(seq)) for seq in ts5.members}
+    assert _started(monkeypatch, mu5, 5) == 1 + len(classes5) + 1
+    # at n = 1 every type class is one symbol, so every start runs
+    assert _started(monkeypatch, np.full(2, 0.5), 1) == 32
 
 
 def test_single_letter_gap_guards():

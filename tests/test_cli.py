@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from cqbounds import CQSource, ValidationError, random_density
+from cqbounds import verify as vf
 from cqbounds.cli import main
 from cqbounds.model_io import load_model, save_model
 
@@ -158,6 +159,17 @@ def test_cli_verify_suite_and_csv(model_path, tmp_path):
 
     assert main(["verify", "--seed", "1", "--out", out]) == 2  # no suite chosen
     assert main(["verify", "--suite", "nope", "--seed", "1", "--out", out]) == 2
+
+
+def test_cli_verify_exits_5_when_a_suite_fails(monkeypatch, tmp_path):
+    failing = vf._finish("alt", ["instance_id", "margin"], [[0, -1.0]], [-1.0], 1e-9)
+    monkeypatch.setitem(vf.SUITES, "alt", lambda seed, budget: failing)
+    out = str(tmp_path / "v.txt")
+    assert main(["verify", "--suite", "alt", "--seed", "1", "--out", out]) == 5
+    # the report and the margin table are written as for a passing suite
+    text = _read(out)
+    assert "suite[alt].pass = false" in text and "overall_pass = false" in text
+    assert _read(str(tmp_path / "v.alt.csv")).splitlines() == ["instance_id,margin", "0,-1.0"]
 
 
 def test_cli_sweep(model_path, tmp_path):

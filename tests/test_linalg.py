@@ -188,3 +188,18 @@ def test_import_pins_blas_threads_whatever_the_environment():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "1"]
+
+
+def test_blas_pin_holds_when_numpy_is_imported_first():
+    """A program that loads OpenBLAS (through numpy) under
+    OPENBLAS_NUM_THREADS=4 before importing cqbounds gets the single-thread
+    bits: cqbounds sets the bundled OpenBLAS copies to one thread at run time."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cqbounds.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    code = ("import numpy, scipy.linalg\n"
+            "from cqbounds import verify\n"
+            "print(repr(verify.run_suite('single-letter', 7).rows[0][6]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=pythonpath)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-0.007563974269167944"
