@@ -64,44 +64,6 @@ def hermitize(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (a + adj) / 2.0
 
 
-def eigh_deterministic(a: np.ndarray):
-    """Eigendecomposition with ascending eigenvalues and deterministic columns.
-
-    Each eigenvector's global phase is fixed by making its first significant
-    entry real positive; within a degenerate cluster (eigenvalue gap below
-    1e-10) columns are ordered lexicographically by their entries,
-    comparing real then imaginary parts.
-    """
-    w, v = np.linalg.eigh(a)
-    v = v.copy()
-    dim = w.shape[0]
-    for j in range(dim):
-        col = v[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-8))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            v[:, j] = col * (pivot.conj() / abs(pivot))
-    start = 0
-    while start < dim:
-        stop = start + 1
-        while stop < dim and w[stop] - w[stop - 1] < 1e-10:
-            stop += 1
-        if stop - start > 1:
-            keys = [
-                tuple(
-                    pair
-                    for entry in v[:, j]
-                    for pair in (round(entry.real, 12), round(entry.imag, 12))
-                )
-                for j in range(start, stop)
-            ]
-            order = sorted(range(stop - start), key=keys.__getitem__)
-            v[:, start:stop] = v[:, [start + k for k in order]]
-            w[start:stop] = w[[start + k for k in order]]
-        start = stop
-    return w, v
-
-
 def from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """V diag(w) V^dagger for stacks of eigenvalue rows and eigenvectors."""
     return (v * w[..., None, :]) @ dagger(v)
@@ -180,11 +142,6 @@ def powm_psd(a: np.ndarray, r, restricted: bool = True) -> np.ndarray:
     if not restricted and np.any(small):
         raise DomainError("negative/fractional power of a singular matrix")
     return from_spectrum(power_rows(w, r, ~small), v)
-
-
-def absm_herm(a: np.ndarray) -> np.ndarray:
-    """Operator absolute value |A| of a Hermitian matrix."""
-    return spectral_map(a, np.abs)
 
 
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:

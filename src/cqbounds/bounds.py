@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _linalg as la
-from .bottleneck import _DeltaWork, _solve_delta, chain_informations, delta_star
+from .bottleneck import _DeltaWork, _solve_delta, delta_star
 from .entropy import relative_entropy
 from .errors import (
     DimensionMismatchError,
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .hyptest import (
     CQSource,
-    StochasticChannel,
     _test_entries,
     encoder_chunks,
     encoder_count,
@@ -134,18 +133,6 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
             totals[e] += pe * de
         best = max(best, max(totals) / n)
     return float(best)
-
-
-def stein_independence_objective(src: CQSource, chan: StochasticChannel):
-    """(I(U;Y), I(U;X')) for the chain U <- X -> Y with a classical channel.
-
-    I(U;Y) never exceeds I(U;X') (the output side is a further processing of
-    the input copy).
-    """
-    if chan.in_alphabet != src.alphabet:
-        raise DimensionMismatchError("channel input alphabet does not match the source")
-    stack = stack_entries(src.states)
-    return chain_informations(src.q_x, stack, src.rho_y.entries, chan.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +402,3 @@ def source_coding_bound(src: CQSource, eps: float, n: int, log_w1: float,
     third = 2.0 / n * math.log(4.0 / (1.0 - eps))
     return first - second - third
 
-
-def fq_point(src: CQSource, chan: StochasticChannel, r_budget: float):
-    """Point evaluation of the purified-side objective 2 H(Y) - I(U;Y) with a
-    feasibility flag I(U;X') <= r_budget; no optimization over channels."""
-    i_uy, i_ux = stein_independence_objective(src, chan)
-    s_y = la.entropy_psd(src.rho_y.entries)
-    return (i_ux <= r_budget), 2.0 * s_y - i_uy

@@ -270,6 +270,8 @@ def _cmd_sweep(args, report: Report, out_base: str):
         raise ValidationError(f"could not parse --values {args.values!r}") from None
     if not values:
         raise ValidationError("--values must list at least one number")
+    if args.param == "n" and not all(math.isfinite(v) and v == int(v) for v in values):
+        raise ValidationError(f"--values for n must be finite integers; got {args.values!r}")
     rows = []
     for idx, raw in enumerate(values):
         if args.param in ("r", "log-w1"):

@@ -1,6 +1,5 @@
 """Entropic functionals: von Neumann and relative entropies, Renyi orders,
-mutual/conditional entropies, fidelity, and the variational lower form of the
-relative entropy.
+fidelity, and the variational lower form of the relative entropy.
 
 All values are computed in nats; :class:`EntropyValue` carries the derived
 bits representation.  The convention 0 log 0 = 0 applies throughout, and a
@@ -17,7 +16,7 @@ import numpy as np
 from . import _linalg as la
 from .config import KERNEL_OVERLAP_TOL, SUPPORT_TOL
 from .errors import DimensionMismatchError, DomainError
-from .operators import DensityMatrix, HermitianOperator, _as_array, partial_trace, tensor
+from .operators import DensityMatrix, _as_array
 
 LN2 = math.log(2.0)
 
@@ -106,80 +105,6 @@ def renyi_relative_entropy(rho: DensityMatrix, sigma, alpha: float) -> EntropyVa
     q = la.inner_real(la.powm_psd(r, alpha), la.powm_psd(s, 1.0 - alpha))
     return EntropyValue(la.per_member(
         lambda x: math.inf if x <= 0.0 else math.log(x) / (alpha - 1.0), q))
-
-
-def renyi_complement(a, b, p: float) -> float:
-    """-(1/p) ln tr[A^p B^(1-p)] for PSD A, B and p in (0, 1).
-
-    The normalization that pairs with the reverse-Hoelder step of the key
-    inequality; distinct from ``renyi_relative_entropy`` at order 1 - p.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0,1); got {p!r}")
-    q = la.inner_real(la.powm_psd(_as_array(a), p), la.powm_psd(_as_array(b), 1.0 - p))
-    if q <= 0.0:
-        return math.inf
-    return -math.log(q) / p
-
-
-def mutual_information(rho_ab: DensityMatrix, cut: int) -> EntropyValue:
-    """I(A;B) = D(rho_AB || rho_A x rho_B); ``cut`` = #subsystems on side A."""
-    dims = rho_ab.subsystem_dims
-    if not 1 <= cut < len(dims):
-        raise DimensionMismatchError(
-            f"cut {cut} invalid for {len(dims)} subsystems"
-        )
-    rho_a = partial_trace(rho_ab, range(cut))
-    rho_b = partial_trace(rho_ab, range(cut, len(dims)))
-    return relative_entropy(rho_ab, tensor(rho_a, rho_b))
-
-
-def conditional_entropy(rho_ab: DensityMatrix, conditioning: int) -> EntropyValue:
-    """H(A|B) = -D(rho_AB || Id_A x rho_B), with B the conditioning subsystem.
-
-    May be negative (e.g. on maximally entangled states).
-    """
-    dims = rho_ab.subsystem_dims
-    if len(dims) != 2:
-        raise DimensionMismatchError("conditional entropy expects a bipartite operator")
-    if conditioning not in (0, 1):
-        raise DimensionMismatchError(f"conditioning index must be 0 or 1, got {conditioning}")
-    rho_b = partial_trace(rho_ab, [conditioning])
-    other = 1 - conditioning
-    eye_a = HermitianOperator(np.eye(dims[other], dtype=complex))
-    ref = tensor(eye_a, rho_b) if conditioning == 1 else tensor(rho_b, eye_a)
-    d = relative_entropy(rho_ab, ref)
-    return EntropyValue(-d.nats)
-
-
-def binary_entropy(p: float) -> EntropyValue:
-    """-p ln p - (1-p) ln(1-p) with 0 ln 0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability must lie in [0,1]; got {p!r}")
-    h = 0.0
-    if 0.0 < p < 1.0:
-        h = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-    return EntropyValue(h)
-
-
-def classical_kl(p, q) -> EntropyValue:
-    """sum p ln(p/q) for a distribution p and a nonnegative measure q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionMismatchError(f"shape mismatch {p.shape} vs {q.shape}")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise DomainError(f"p must sum to 1; sums to {float(p.sum())!r}")
-    if np.any(q < -1e-15):
-        raise DomainError("q must be entrywise nonnegative")
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return EntropyValue(math.inf)
-        total += pi * math.log(pi / qi)
-    return EntropyValue(total)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,6 +1,12 @@
 """Binary quantum hypothesis testing, classical-quantum sources, classical
 encoders, brute-force distributed type-II error, and test expurgation.
 
+Everything past the single-letter source works on stacked arrays: the
+n-letter extension is ``product_stack`` (sequence probabilities and product
+states, never an n-letter ``CQSource``), encoders act through
+``encode_stack`` and ``encoder_rows``/``message_blocks``, and expurgation
+is ``expurgate_stack``.
+
 The optimal-test solver sweeps the thresholds given by the generalized
 eigenvalues of the pencil rho0 - t rho1 and mixes in the boundary eigenspace
 with one scalar weight, which exhausts the type-I budget deterministically.
@@ -11,8 +17,8 @@ brute-force encoder search never build the (|X| d_y)^n joint matrices.  A
 dense pair is the case of one block.  The solver, the brute-force encoder
 search and expurgation run on stacks of problems, the pencils and encoder
 blocks in steps of at most ``config.STACK_BYTES`` per stacked array; every
-member gets the bits a call on it alone gives, and the one-problem functions
-are the stack of one.
+member gets the bits a call on it alone gives, and ``neyman_pearson_beta``
+is the stack of one.
 """
 
 from __future__ import annotations
@@ -175,13 +181,6 @@ class StochasticChannel:
         return f"StochasticChannel({len(self.in_alphabet)}->{len(self.out_alphabet)})"
 
 
-def tensor_channels(a: StochasticChannel, b: StochasticChannel) -> StochasticChannel:
-    """Product channel acting independently on a pair of inputs."""
-    in_alpha = [x + "," + y for x in a.in_alphabet for y in b.in_alphabet]
-    out_alpha = [x + "," + y for x in a.out_alphabet for y in b.out_alphabet]
-    return StochasticChannel(in_alpha, out_alpha, np.kron(a.kernel, b.kernel))
-
-
 def measurement_stack(arr: np.ndarray, labels=None) -> np.ndarray:
     """Check and clip test operators 0 <= T <= Id, stacked (..., d, d).
 
@@ -201,36 +200,6 @@ def measurement_stack(arr: np.ndarray, labels=None) -> np.ndarray:
             f"[{lo.flat[i]:.3e}, {hi.flat[i]:.6f}] outside [0,1] (tolerance 1e-10)"
         )
     return la.hermitize(la.from_spectrum(np.clip(w, 0.0, 1.0), v))
-
-
-class TestFamily:
-    """Measurement operators 0 <= T_w <= Id indexed by classical messages."""
-
-    __slots__ = ("messages", "operators")
-    __test__ = False  # not a pytest class, despite the name
-
-    def __init__(self, messages, operators):
-        messages = tuple(str(m) for m in messages)
-        if len(messages) != len(set(messages)):
-            raise ValidationError("messages must be distinct")
-        ops = {}
-        for m in messages:
-            ops[m] = HermitianOperator(measurement_stack(_as_array(operators[m]), [m]))
-        object.__setattr__(self, "messages", messages)
-        object.__setattr__(self, "operators", ops)
-
-    @classmethod
-    def _checked(cls, messages, entries) -> "TestFamily":
-        """A family of operators that ``measurement_stack`` returned."""
-        fam = object.__new__(cls)
-        object.__setattr__(fam, "messages", tuple(messages))
-        object.__setattr__(
-            fam, "operators", {m: HermitianOperator(e) for m, e in zip(messages, entries)}
-        )
-        return fam
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TestFamily is immutable")
 
 
 @dataclass(frozen=True)
@@ -472,45 +441,18 @@ def check_product_dim(src: CQSource, n: int):
         )
 
 
-def product_source(src: CQSource, n: int) -> CQSource:
-    """The n-fold memoryless extension of a source, over sequences of symbols."""
-    check_product_dim(src, n)
-    if n == 1:
-        return src
-    probs, mats = product_stack(src.q_x, stack_entries(src.states), n)
-    labels, states = [], []
-    for seq, mat in zip(itertools.product(range(src.size), repeat=n), mats):
-        labels.append(product_label(src.alphabet[i] for i in seq))
-        dims = sum((src.states[i].subsystem_dims for i in seq), ())
-        states.append(DensityMatrix(mat, dims))
-    return CQSource(labels, probs, states)
-
-
 def product_stack(q: np.ndarray, states: np.ndarray, n: int):
     """The n-fold memoryless extensions of stacked sources.
 
     Maps q (..., X) and states (..., X, d, d) to the sequence probabilities
     (..., X^n) and the unvalidated product states (..., X^n, d^n, d^n),
-    sequences in lexicographic order, each entry with the bits
-    ``product_source`` gives it.
+    sequences in lexicographic order, each product state with the bits
+    ``tensor_all`` gives its factors.
     """
     seqs = list(itertools.product(range(q.shape[-1]), repeat=n))
     probs = np.stack([np.prod(q[..., list(seq)], axis=-1) for seq in seqs], axis=-1)
     mats = [functools.reduce(la.kron_pairs, (states[..., i, :, :] for i in seq)) for seq in seqs]
     return probs, np.stack(mats, axis=-3)
-
-
-@dataclass(frozen=True)
-class EncodedSource:
-    """Message distribution and conditional output blocks after encoding.
-
-    Blocks with probability at most 1e-14 are dropped to avoid 0/0
-    conditional states.
-    """
-
-    messages: tuple
-    p_w: np.ndarray
-    states: tuple
 
 
 def message_blocks(weights: np.ndarray, mass: np.ndarray, states: np.ndarray, owner=None):
@@ -522,7 +464,7 @@ def message_blocks(weights: np.ndarray, mass: np.ndarray, states: np.ndarray, ow
     ``owner[p]``.  Rows of mass at most ``BLOCK_MASS_TOL`` are dropped.
     Returns the kept row indices and their unnormalized blocks
     sum_x Q(x) E(w|x) rho_x over the x of positive weight, the terms added to
-    0 in order of x, as ``apply_encoder`` sums them.
+    0 in order of x.
     """
     kept = np.flatnonzero(mass > BLOCK_MASS_TOL)
     w = weights[kept]
@@ -535,13 +477,13 @@ def message_blocks(weights: np.ndarray, mass: np.ndarray, states: np.ndarray, ow
 
 
 def encode_stack(q: np.ndarray, states: np.ndarray, kernels: np.ndarray):
-    """``apply_encoder`` on stacked sources q (N, X), states (N, X, d, d) and
-    encoder kernels (N, X, W).
+    """Push stacked sources q (N, X), states (N, X, d, d) through classical
+    encoder kernels (N, X, W), collecting message blocks.
 
     Returns one row per kept (source, message) pair, sources in order and
     each source's messages in kernel-column order: the source and message
     indices, the message probabilities and the unvalidated conditional
-    states (P, d, d), each with the bits ``apply_encoder`` gives it.
+    states (P, d, d), blocks as ``message_blocks`` sums and drops them.
     """
     weights = q[..., None] * kernels  # (N, x, w)
     p_all = weights.sum(axis=-2)
@@ -554,18 +496,6 @@ def encode_stack(q: np.ndarray, states: np.ndarray, kernels: np.ndarray):
     )
     p = p_all.reshape(-1)[kept]
     return kept // w_size, kept % w_size, p, blocks / p[:, None, None]
-
-
-def apply_encoder(src_n: CQSource, enc: StochasticChannel) -> EncodedSource:
-    """Push the source through a classical encoder, collecting message blocks."""
-    if enc.in_alphabet != src_n.alphabet:
-        raise DimensionMismatchError("encoder input alphabet does not match the source")
-    _, msg, p, states = encode_stack(
-        src_n.q_x[None], stack_entries(src_n.states)[None], enc.kernel[None]
-    )
-    return EncodedSource(
-        tuple(enc.out_alphabet[j] for j in msg.tolist()), p, tuple(DensityMatrix(s) for s in states)
-    )
 
 
 def message_count(n: int, r1: float) -> int:
@@ -625,17 +555,19 @@ def encoder_rows(assignments, q: np.ndarray):
     return enc, mass, np.where(members, q, 0.0)
 
 
-def _encoder_betas(assignments, src_n: CQSource, rho1_entries: np.ndarray, eps: float) -> list:
+def _encoder_betas(assignments, q: np.ndarray, states: np.ndarray, rho1_entries: np.ndarray,
+                   eps: float) -> list:
     """Blockwise optimal type-II error of each deterministic encoder.
 
     ``assignments`` lists encoders as tuples of message indices, one per
-    sequence.  Each encoder's blocks, the sums of Q(x) rho_x over the
+    sequence; ``q`` and ``states`` hold the sequences' probabilities and
+    states.  Each encoder's blocks, the sums of Q(x) rho_x over the
     sequences it sends to one message (those of mass at most 1e-14
     dropped), in increasing message order, form its null and p_w rho1 its
     alternative; encoders with equally many blocks are solved as one stack.
     """
-    enc, mass, weights = encoder_rows(assignments, src_n.q_x)
-    kept, null_blocks = message_blocks(weights, mass, stack_entries(src_n.states))
+    enc, mass, weights = encoder_rows(assignments, q)
+    kept, null_blocks = message_blocks(weights, mass, states)
     enc, mass = enc[kept], mass[kept]
     alt_blocks = mass[:, None, None] * rho1_entries
     counts = np.bincount(enc, minlength=len(assignments))
@@ -651,10 +583,10 @@ def _encoder_betas(assignments, src_n: CQSource, rho1_entries: np.ndarray, eps: 
     return betas
 
 
-def _beta_for_assignment(assignment, src_n, rho1_entries, eps):
+def _beta_for_assignment(assignment, q, states, rho1_entries, eps):
     """Blockwise optimal type-II error of one deterministic encoder (the
     stack of one of ``_encoder_betas``; perfbench's tracer wraps this name)."""
-    return _encoder_betas([assignment], src_n, rho1_entries, eps)[0]
+    return _encoder_betas([assignment], q, states, rho1_entries, eps)[0]
 
 
 def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
@@ -666,22 +598,25 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     infimum, witnessed by the returned encoder; randomized encoders are
     convex mixtures and cannot beat the best deterministic one here.
     Encoders are solved in stacks of at most ``STACK_BYTES`` of
-    block-diagonal states.
+    block-diagonal states, read from the unvalidated ``product_stack``.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0,1); got {eps!r}")
     if r1 <= 0.0:
         raise DomainError(f"r1 must be positive; got {r1!r}")
-    src_n = product_source(src, n)
-    w_size, num_encoders = encoder_count(n, r1, src_n.size)
+    check_product_dim(src, n)
+    q_n, states_n = product_stack(src.q_x, stack_entries(src.states), n)
+    w_size, num_encoders = encoder_count(n, r1, len(q_n))
     rho1_entries = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
     best_beta, best_assignment = None, None
-    for chunk in encoder_chunks(w_size, src_n.size, src_n.d_y):
-        for assignment, beta in zip(chunk, _encoder_betas(chunk, src_n, rho1_entries, eps)):
+    for chunk in encoder_chunks(w_size, len(q_n), states_n.shape[-1]):
+        for assignment, beta in zip(chunk, _encoder_betas(chunk, q_n, states_n, rho1_entries, eps)):
             if best_beta is None or beta < best_beta:
                 best_beta, best_assignment = beta, assignment
+    labels = [product_label(src.alphabet[i] for i in seq)
+              for seq in itertools.product(range(src.size), repeat=n)]
     encoder = StochasticChannel.deterministic(
-        src_n.alphabet, [str(w) for w in range(w_size)], best_assignment
+        labels, [str(w) for w in range(w_size)], best_assignment
     )
     record = BoundReport(
         name="brute-force-distributed-beta",
@@ -701,17 +636,27 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
 
 def expurgate_stack(ops: np.ndarray, p: np.ndarray, sigma: np.ndarray, rho1: np.ndarray,
                     eps_prime) -> tuple:
-    """``expurgate`` for stacks of families of k messages each.
+    """Zero out the worst messages of stacked test families of k messages
+    each, so every survivor has a per-message bound.
+
+    Messages are reordered so tr[rho1 T_w] is nondecreasing (stable sort,
+    ties by original index); the cut point is the earliest position whose
+    strict tail carries mass at most eps_prime.  The new family satisfies
+    alpha_new <= alpha_old + eps_prime and, for every retained message,
+    tr[rho1 T_w] <= beta_old / eps_prime; both are asserted here.
 
     ``ops`` and ``sigma`` (..., k, d, d) hold each family's checked test
     operators and conditional states in message order, ``p`` (..., k) the
     message probabilities, ``rho1`` (..., d, d) the alternative and
     ``eps_prime`` one budget or one per family.  Returns the new message
     order (..., k) and the expurgated operators (..., k, d, d) in that
-    order, each family with the bits a single call gives; raises the single
-    call's error for the first family that breaks a guarantee.
+    order, each family with the bits it gets alone; raises for the first
+    family whose budget lies outside (0, 1) or that breaks a guarantee.
     """
     eps_prime = np.asarray(eps_prime, dtype=float)
+    i = la.first_member(~((eps_prime > 0.0) & (eps_prime < 1.0)))
+    if i is not None:
+        raise DomainError(f"eps_prime must lie in (0,1); got {float(eps_prime.flat[i])!r}")
     v = la.inner_real(rho1[..., None, :, :], ops)
     order = np.argsort(v, axis=-1, kind="stable")
     sorted_p = np.take_along_axis(p, order, axis=-1)
@@ -752,27 +697,3 @@ def expurgate_stack(ops: np.ndarray, p: np.ndarray, sigma: np.ndarray, rho1: np.
         )
     return order, new_ops
 
-
-def expurgate(test: TestFamily, encoded: EncodedSource, rho1_block: DensityMatrix,
-              eps_prime: float) -> TestFamily:
-    """Zero out the worst messages so every survivor has a per-message bound.
-
-    Messages are reordered so tr[rho1 T_w] is nondecreasing (stable sort,
-    ties by original index); the cut point is the earliest position whose
-    strict tail carries mass at most eps_prime.  The returned family
-    satisfies alpha_new <= alpha_old + eps_prime and, for every retained
-    message, tr[rho1 T_w] <= beta_old / eps_prime; both are asserted here.
-    """
-    if not 0.0 < eps_prime < 1.0:
-        raise DomainError(f"eps_prime must lie in (0,1); got {eps_prime!r}")
-    if set(test.messages) != set(encoded.messages):
-        raise DimensionMismatchError("test and encoded source index different messages")
-    msgs = list(encoded.messages)
-    order, new_ops = expurgate_stack(
-        stack_entries(test.operators[m] for m in msgs),
-        encoded.p_w,
-        stack_entries(encoded.states),
-        rho1_block.entries,
-        eps_prime,
-    )
-    return TestFamily._checked([msgs[i] for i in order.tolist()], new_ops)

@@ -138,9 +138,6 @@ class DensityMatrix:
     def subsystem_dims(self):
         return self.op.subsystem_dims
 
-    def with_subsystems(self, subsystem_dims) -> "DensityMatrix":
-        return DensityMatrix(self.op.with_subsystems(subsystem_dims))
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, subsystems={self.subsystem_dims})"
 
@@ -167,10 +164,6 @@ def tensor(a, b) -> HermitianOperator:
     )
 
 
-def tensor_density(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(tensor(a, b))
-
-
 def tensor_all(ops) -> HermitianOperator:
     """Kronecker product of a nonempty sequence of operators, left to right."""
     ops = list(ops)
@@ -191,44 +184,6 @@ def partial_trace(a, keep) -> HermitianOperator:
     reduced = la.ptrace(_as_array(a), dims, keep)
     kept_dims = [dims[k] for k in sorted(set(keep))]
     return HermitianOperator(reduced, kept_dims)
-
-
-def eig_hermitian(a):
-    """Ascending eigenvalues and a unitary of eigenvectors, deterministically.
-
-    Degenerate clusters (gap < 1e-10) are ordered lexicographically by
-    eigenvector entries, with each column's phase fixed, so repeated calls
-    agree bit for bit.
-    """
-    return la.eigh_deterministic(_as_array(a))
-
-
-_FUNCTION_NAMES = ("log", "exp", "power", "abs")
-
-
-def matrix_function(a, name: str, exponent: float | None = None,
-                    support_restricted: bool = False) -> HermitianOperator:
-    """Spectral calculus: apply log, exp, power(r), or abs to the eigenvalues.
-
-    ``log`` requires eigenvalues above the support threshold 1e-12 unless
-    ``support_restricted`` is set, in which case near-null directions
-    contribute 0 to the spectral sum.
-    """
-    arr = _as_array(a)
-    dims = _as_dims(a)
-    if name == "log":
-        out = la.logm_psd(arr, restricted=support_restricted)
-    elif name == "exp":
-        out = la.expm_herm(arr)
-    elif name == "abs":
-        out = la.absm_herm(arr)
-    elif name == "power":
-        if exponent is None:
-            raise DomainError("power requires an exponent")
-        out = la.powm_psd(arr, float(exponent), restricted=support_restricted or exponent >= 0)
-    else:
-        raise DomainError(f"unknown matrix function {name!r}; expected one of {_FUNCTION_NAMES}")
-    return HermitianOperator(out, dims)
 
 
 def _ginibre(rng, dim: int) -> np.ndarray:

@@ -16,30 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .errors import DimensionMismatchError, DomainError, PreconditionError, ValidationError
+from .errors import DimensionMismatchError, DomainError, PreconditionError
 from .operators import DensityMatrix, HermitianOperator, _as_array, _as_dims, tensor_all
 
 #: strict-positivity floor for arguments of negative-p norms
 POSITIVITY_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SemigroupSpec:
-    """A generalized depolarizing semigroup, fixed by its invariant state.
-
-    The modified log-Sobolev constant of the tensorized generator is bounded
-    below by 1/4, which sets the hypercontractive time threshold.
-    """
-
-    invariant_state: DensityMatrix
-    mlsi_lower_bound: float = 0.25
-
-    def __post_init__(self):
-        if self.invariant_state.min_eig < 1e-8:
-            raise ValidationError(
-                f"invariant state must be full rank (min eigenvalue "
-                f"{self.invariant_state.min_eig:.3e} < 1e-8)"
-            )
 
 
 @dataclass(frozen=True)
@@ -140,19 +121,6 @@ def _depolarize_sites(x_n, t: float, site_states, gamma: float = 1.0) -> Hermiti
     return HermitianOperator(out, dims)
 
 
-def depolarize_heisenberg(x, t: float, spec: SemigroupSpec) -> HermitianOperator:
-    """Heisenberg-picture depolarizing map e^-t X + (1-e^-t) tr(sigma X) Id:
-    ``psi_map`` at gamma = 1."""
-    return psi_map(x, t, 1.0, spec.invariant_state)
-
-
-def depolarize_schrodinger(rho: DensityMatrix, t: float, spec: SemigroupSpec) -> DensityMatrix:
-    """Schroedinger-picture map e^-t rho + (1-e^-t) sigma; fixes sigma."""
-    decay = _decay(t)
-    out = decay * rho.entries + (1.0 - decay) * spec.invariant_state.entries
-    return DensityMatrix(out, rho.subsystem_dims)
-
-
 def tensor_depolarize(x_n, t: float, site_states) -> HermitianOperator:
     """Tensor product of single-site depolarizing maps, applied site by site."""
     return _depolarize_sites(x_n, t, site_states)
@@ -182,7 +150,12 @@ def psi_map_sites(t_op, t: float, gamma: float, rho_y: DensityMatrix) -> Hermiti
 
 
 def rhc_time_threshold(p: float, q: float) -> float:
-    """Smallest time at which reverse hypercontractivity from q to p is claimed."""
+    """Smallest time at which reverse hypercontractivity from q to p is claimed.
+
+    This is the threshold t >= ln((p-1)/(q-1)) / (4 alpha_1) at the
+    modified log-Sobolev constant alpha_1 = 1/4, the lower bound that holds
+    for the tensorized generalized depolarizing semigroup, so 4 alpha_1 = 1.
+    """
     if not (p <= q < 1.0):
         raise DomainError(f"need p <= q < 1; got p={p!r}, q={q!r}")
     return math.log((p - 1.0) / (q - 1.0))

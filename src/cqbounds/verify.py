@@ -28,6 +28,7 @@ from . import entropy as en
 from . import hyptest as ht
 from . import semigroup as sg
 from .config import STACK_BYTES
+from .errors import ValidationError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -270,18 +271,13 @@ def run_renyi_limit(seed: int, instances: int) -> SuiteResult:
 # hypothesis-testing suites
 
 
-def np_scan_oracle(rho0: DensityMatrix, rho1: DensityMatrix, eps: float) -> float:
-    """Independent optimal-test scan: thresholds from the Hermitian ratio
-    operator on the support of rho1, a gridded randomization weight (about
-    400 weights over all thresholds) plus the exact budget-saturating
-    weight at each threshold, brute minimum."""
-    return float(np_scan_oracle_stack(rho0.entries[None], rho1.entries[None], eps)[0])
-
-
 def np_scan_oracle_stack(r0: np.ndarray, r1: np.ndarray, eps) -> np.ndarray:
-    """``np_scan_oracle`` for each pair of density-matrix entries in stacks
-    (N, d, d), with one budget ``eps`` or one per pair; each value has the
-    single call's bits."""
+    """Independent optimal-test scan for each pair of density-matrix entries
+    in stacks (N, d, d), with one budget ``eps`` or one per pair: thresholds
+    from the Hermitian ratio operator on the support of rho1, a gridded
+    randomization weight (about 400 weights over all thresholds) plus the
+    exact budget-saturating weight at each threshold, brute minimum.  Each
+    value has the bits of the pair's stack of one."""
     n, dim = r0.shape[0], r0.shape[-1]
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
     w1, v1 = np.linalg.eigh(r1)
@@ -387,7 +383,7 @@ _TREND_SEEDS = ((202, 203), (232, 233), (240, 241))
 
 def run_np_trend(seed: int, instances: int) -> SuiteResult:
     rows = []
-    for i, (s0, s1) in enumerate(_TREND_SEEDS[:max(instances, 0)]):
+    for i, (s0, s1) in enumerate(_TREND_SEEDS[:instances]):
         rho = random_density(2, s0, min_eig_floor=0.1)
         sig = random_density(2, s1, min_eig_floor=0.1)
         d = en.relative_entropy(rho, sig).nats
@@ -751,4 +747,6 @@ def run_suite(name: str, seed: int, instances: int | None = None) -> SuiteResult
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     budget = instances if instances is not None else DEFAULT_INSTANCES[name]
+    if budget < 0:
+        raise ValidationError(f"instances must be nonnegative; got {budget!r}")
     return SUITES[name](seed, budget)

@@ -11,9 +11,7 @@ from cqbounds import (
     DomainError,
     HermitianOperator,
     PreconditionError,
-    StochasticChannel,
     bottleneck_sup_constrained,
-    fq_point,
     image_size_bound_i,
     image_size_bound_ii,
     image_size_constant,
@@ -27,15 +25,13 @@ from cqbounds import (
     source_conditional_output_entropy,
     source_entropy,
     source_mutual_information,
-    stein_independence_objective,
     tensor_all,
-    tensor_channels,
     theta_n_lower,
     verify_key_inequality,
 )
 from cqbounds import _linalg as la
 from cqbounds import bounds
-from cqbounds.bottleneck import DeltaInstance, delta, delta_star
+from cqbounds.bottleneck import DeltaInstance, chain_informations, delta, delta_star
 from cqbounds.hyptest import product_stack
 from cqbounds.model_io import load_model
 from cqbounds.semigroup import psi_map_sites
@@ -88,30 +84,30 @@ def test_theta_rejects_bob_compression():
         theta_n_lower(src, [src.rho_y] * 2, 1, 0.5, r2_infinite=False)
 
 
+def _chain(src, kernel):
+    """(I(U;Y), I(U;X)) of the chain U <- X -> Y through a classical kernel."""
+    stack = np.stack([s.entries for s in src.states])
+    return chain_informations(src.q_x, stack, src.rho_y.entries, kernel)
+
+
 def test_stein_independence_objective():
     src = _src()
-    identity = StochasticChannel.identity(src.alphabet)
-    i_uy, i_ux = stein_independence_objective(src, identity)
+    i_uy, i_ux = _chain(src, np.eye(src.size))
     assert abs(i_uy - source_mutual_information(src)) < 1e-10
     assert abs(i_ux - source_entropy(src)) < 1e-12
     assert i_uy <= i_ux + 1e-9
 
-    const = StochasticChannel.constant(src.alphabet)
-    i_uy, i_ux = stein_independence_objective(src, const)
+    i_uy, i_ux = _chain(src, np.ones((src.size, 1)))
     assert abs(i_uy) < 1e-10 and abs(i_ux) < 1e-12
 
 
 def test_stein_objective_additive_over_letters():
     src = _src()
-    from cqbounds import product_source
-
-    src2 = product_source(src, 2)
+    q2, states2 = product_stack(src.q_x, np.stack([s.entries for s in src.states]), 2)
     kernel = np.array([[0.8, 0.2], [0.3, 0.7]])
-    chan = StochasticChannel(src.alphabet, ["a", "b"], kernel)
-    chan2 = tensor_channels(chan, chan)
-    chan2 = StochasticChannel(src2.alphabet, chan2.out_alphabet, chan2.kernel)
-    one = stein_independence_objective(src, chan)
-    two = stein_independence_objective(src2, chan2)
+    one = _chain(src, kernel)
+    rho2 = np.kron(src.rho_y.entries, src.rho_y.entries)
+    two = chain_informations(q2, states2, rho2, np.kron(kernel, kernel))
     assert abs(two[0] - 2 * one[0]) < 1e-9
     assert abs(two[1] - 2 * one[1]) < 1e-9
 
@@ -383,24 +379,6 @@ def test_source_coding_monotone_and_threshold():
     total = source_coding_bound(src, 0.5, 200, 0.3, 3, multistarts=8)
     first = source_coding_first_order(src, 0.3, 3, multistarts=8)
     assert total < first  # the finite-n corrections are subtracted
-
-
-def test_fq_point():
-    src = _src()
-    from cqbounds import von_neumann_entropy
-
-    h_y = von_neumann_entropy(src.rho_y).nats
-    identity = StochasticChannel.identity(src.alphabet)
-    feasible, value = fq_point(src, identity, source_entropy(src) + 0.01)
-    assert feasible
-    assert abs(value - (2 * h_y - source_mutual_information(src))) < 1e-9
-    const = StochasticChannel.constant(src.alphabet)
-    feasible, value = fq_point(src, const, 0.0)
-    assert feasible and abs(value - 2 * h_y) < 1e-9
-    # feasibility flips exactly at the information budget
-    i_uy, i_ux = stein_independence_objective(src, identity)
-    assert fq_point(src, identity, i_ux)[0]
-    assert not fq_point(src, identity, i_ux - 1e-9)[0]
 
 
 def test_sequence_weights_states_order():

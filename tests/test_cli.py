@@ -187,6 +187,25 @@ def test_cli_sweep(model_path, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "150.7"])
+def test_cli_sweep_rejects_n_values_that_are_not_integers(model_path, tmp_path, capsys, value):
+    out = tmp_path / "s.txt"
+    assert main([
+        "sweep", "--model", model_path, "--quantity", "sc-bound", "--param", "n",
+        "--values", value, "--r", "0.3", "--out", str(out),
+    ]) == 2
+    assert "must be finite integers" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.sweep.csv").exists()
+
+
+def test_cli_verify_rejects_a_negative_budget(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--suite", "alt", "--seed", "1", "--instances", "-1",
+                 "--out", str(out)]) == 2
+    assert "instances must be nonnegative" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "v.alt.csv").exists()
+
+
 def test_cli_seeded_rerun_is_identical(model_path, tmp_path):
     out = str(tmp_path / "d.txt")
     argv = ["verify", "--suite", "entropy-dp", "--seed", "3", "--instances", "25",

@@ -5,20 +5,16 @@ import pytest
 
 from cqbounds import (
     DensityMatrix,
-    DimensionMismatchError,
     DomainError,
     HermitianOperator,
-    binary_entropy,
-    classical_kl,
-    conditional_entropy,
     fidelity,
-    mutual_information,
+    partial_trace,
     random_density,
     random_psd,
     relative_entropy,
     relative_entropy_variational_value,
-    renyi_complement,
     renyi_relative_entropy,
+    tensor,
     von_neumann_entropy,
 )
 from cqbounds._linalg import entropy_psd, expm_herm, logm_psd
@@ -35,6 +31,17 @@ def _bell():
     vec = np.zeros(4, dtype=complex)
     vec[0] = vec[3] = 1.0 / math.sqrt(2.0)
     return DensityMatrix(np.outer(vec, vec.conj()), (2, 2))
+
+
+def _mutual_information(rho_ab):
+    """I(A;B) = D(rho_AB || rho_A x rho_B) of a bipartite state."""
+    return relative_entropy(rho_ab, tensor(partial_trace(rho_ab, [0]), partial_trace(rho_ab, [1])))
+
+
+def _conditional_entropy(rho_ab):
+    """H(A|B) = -D(rho_AB || Id_A x rho_B) of a bipartite state."""
+    eye_a = HermitianOperator(np.eye(rho_ab.subsystem_dims[0], dtype=complex))
+    return -relative_entropy(rho_ab, tensor(eye_a, partial_trace(rho_ab, [1]))).nats
 
 
 def test_von_neumann_entropy_examples():
@@ -92,34 +99,31 @@ def test_renyi_converges_to_relative_entropy():
 
 
 def test_renyi_complement_formula():
-    # -(1/p) ln tr[A^p B^(1-p)] on commuting inputs
+    # -(1/p) ln tr[A^p B^(1-p)] on commuting inputs, which is
+    # (1-p)/p times the Renyi relative entropy of order p
     a = np.array([0.2, 0.5])
     b = np.array([0.3, 0.4])
     p = 0.25
     expected = -math.log(float(np.sum(a**p * b ** (1 - p)))) / p
-    got = renyi_complement(
-        HermitianOperator(np.diag(a)), HermitianOperator(np.diag(b)), p
-    )
-    assert abs(got - expected) < 1e-12
+    d_p = renyi_relative_entropy(HermitianOperator(np.diag(a)), HermitianOperator(np.diag(b)), p)
+    assert abs((1 - p) / p * d_p.nats - expected) < 1e-12
 
 
 def test_mutual_information_examples():
     a = random_density(2, 6, min_eig_floor=0.1)
     b = random_density(2, 7, min_eig_floor=0.1)
     prod = DensityMatrix(np.kron(a.entries, b.entries), (2, 2))
-    assert abs(mutual_information(prod, 1).nats) < 1e-10
+    assert abs(_mutual_information(prod).nats) < 1e-10
 
     # perfectly correlated classical bit: oracle by 4x4 diagonal evaluation
     corr = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
     expected = sum(
         p * math.log(p / (0.5 * 0.5)) for p in (0.5, 0.5)
     )
-    assert abs(mutual_information(corr, 1).nats - expected) < 1e-12
+    assert abs(_mutual_information(corr).nats - expected) < 1e-12
     assert abs(expected - LN2) < 1e-15
 
-    assert abs(mutual_information(_bell(), 1).nats - 2 * LN2) < 1e-9
-    with pytest.raises(DimensionMismatchError):
-        mutual_information(corr, 2)
+    assert abs(_mutual_information(_bell()).nats - 2 * LN2) < 1e-9
 
 
 def test_mutual_information_matches_entropy_combination():
@@ -127,12 +131,10 @@ def test_mutual_information_matches_entropy_combination():
     for _ in range(30):
         joint = random_density(4, int(rng.integers(0, 2**31)), min_eig_floor=0.01)
         joint = DensityMatrix(joint.entries, (2, 2))
-        from cqbounds import partial_trace
-
         s_a = von_neumann_entropy(DensityMatrix(partial_trace(joint, [0]).entries)).nats
         s_b = von_neumann_entropy(DensityMatrix(partial_trace(joint, [1]).entries)).nats
         s_ab = von_neumann_entropy(joint).nats
-        i = mutual_information(joint, 1).nats
+        i = _mutual_information(joint).nats
         assert i >= -1e-12
         assert abs(i - (s_a + s_b - s_ab)) < 1e-8
 
@@ -142,34 +144,12 @@ def test_conditional_entropy_examples():
     b = random_density(2, 9, min_eig_floor=0.1)
     prod = DensityMatrix(np.kron(a.entries, b.entries), (2, 2))
     expected = von_neumann_entropy(a).nats
-    assert abs(conditional_entropy(prod, 1).nats - expected) < 1e-10
+    assert abs(_conditional_entropy(prod) - expected) < 1e-10
 
-    assert abs(conditional_entropy(_bell(), 1).nats + LN2) < 1e-9
+    assert abs(_conditional_entropy(_bell()) + LN2) < 1e-9
 
     copy = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-    assert abs(conditional_entropy(copy, 1).nats) < 1e-12
-    with pytest.raises(DimensionMismatchError):
-        conditional_entropy(copy, 2)
-
-
-def test_binary_entropy():
-    assert binary_entropy(0.0).nats == 0.0
-    assert binary_entropy(1.0).nats == 0.0
-    assert abs(binary_entropy(0.5).nats - LN2) < 1e-15
-    assert abs(binary_entropy(0.25).nats - H_QUARTER) < 1e-15
-    with pytest.raises(DomainError):
-        binary_entropy(1.5)
-
-
-def test_classical_kl():
-    p = np.array([0.75, 0.25])
-    assert abs(classical_kl(p, p).nats) < 1e-15
-    delta = np.array([1.0, 0.0, 0.0])
-    assert abs(classical_kl(delta, np.ones(3) / 3).nats - math.log(3)) < 1e-15
-    assert abs(classical_kl(p, [0.5, 0.5]).nats - KL_DIAG) < 1e-15
-    assert math.isinf(classical_kl(p, [1.0, 0.0]).nats)
-    with pytest.raises(DomainError):
-        classical_kl([0.5, 0.4], [0.5, 0.5])
+    assert abs(_conditional_entropy(copy)) < 1e-12
 
 
 def test_fidelity():
@@ -241,4 +221,4 @@ def test_cq_copy_state_mutual_information_is_classical():
             for y in range(2)
             if joint[x, y] > 0
         )
-        assert abs(mutual_information(state, 1).nats - classical) < 1e-9
+        assert abs(_mutual_information(state).nats - classical) < 1e-9

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +15,19 @@ from cqbounds import (
     DomainError,
     HermitianOperator,
     ResourceCapError,
-    StochasticChannel,
-    TestFamily,
     ValidationError,
-    apply_encoder,
     brute_force_beta_distributed,
     errors_of_test,
-    expurgate,
+    load_model,
     message_count,
     neyman_pearson_beta,
-    product_source,
     random_density,
     random_psd,
     tensor_all,
 )
+
+
+EXAMPLE_MODEL = Path(__file__).resolve().parents[1] / "model.example.json"
 
 
 def _src(seed0=84, seed1=85, q=(0.5, 0.5), floor=0.02):
@@ -36,6 +36,10 @@ def _src(seed0=84, seed1=85, q=(0.5, 0.5), floor=0.02):
         q,
         [random_density(2, seed0, min_eig_floor=floor), random_density(2, seed1, min_eig_floor=floor)],
     )
+
+
+def _stack(src):
+    return np.stack([s.entries for s in src.states])
 
 
 def test_cqsource_invariants():
@@ -138,16 +142,18 @@ def test_errors_of_test_trivial_cases():
 
 def test_product_source():
     src = _src(q=(0.3, 0.7))
-    assert product_source(src, 1) is src
-    two = product_source(src, 2)
-    assert two.size == 4
+    one = ht.product_stack(src.q_x, _stack(src), 1)
+    assert _bits(one[0]) == _bits(src.q_x) and _bits(one[1]) == _bits(_stack(src))
+    q2, states2 = ht.product_stack(src.q_x, _stack(src), 2)
+    assert q2.shape == (4,)
     np.testing.assert_allclose(
-        sorted(two.q_x), sorted([0.09, 0.21, 0.21, 0.49])
+        sorted(q2), sorted([0.09, 0.21, 0.21, 0.49])
     )
+    two = CQSource(["00", "01", "10", "11"], q2, [DensityMatrix(m) for m in states2])
     assert abs(two.eta - src.eta**2) < 1e-9
     assert abs(two.gamma - src.gamma**2) < 1e-9
     with pytest.raises(ResourceCapError):
-        product_source(src, 6)
+        ht.check_product_dim(src, 6)
 
 
 def test_message_count():
@@ -157,30 +163,30 @@ def test_message_count():
     assert message_count(1, math.log(2.5)) == 2
 
 
+def _encode(src, kernel):
+    """``encode_stack`` on one source: the kept messages, their probabilities
+    and their conditional states."""
+    _, msg, p, states = ht.encode_stack(src.q_x[None], _stack(src)[None], np.asarray(kernel)[None])
+    return msg.tolist(), p, density_stack(states)
+
+
 def test_apply_encoder():
     src = _src()
-    identity = StochasticChannel.identity(src.alphabet)
-    enc = apply_encoder(src, identity)
-    np.testing.assert_allclose(enc.p_w, src.q_x)
-    for got, want in zip(enc.states, src.states):
-        np.testing.assert_allclose(got.entries, want.entries, atol=1e-12)
+    msg, p, states = _encode(src, np.eye(2))
+    np.testing.assert_allclose(p, src.q_x)
+    np.testing.assert_allclose(states, _stack(src), atol=1e-12)
 
-    const = StochasticChannel.constant(src.alphabet)
-    enc = apply_encoder(src, const)
-    assert len(enc.messages) == 1
-    np.testing.assert_allclose(enc.states[0].entries, src.rho_y.entries, atol=1e-12)
+    msg, p, states = _encode(src, np.ones((2, 1)))
+    assert msg == [0]
+    np.testing.assert_allclose(states[0], src.rho_y.entries, atol=1e-12)
 
     # hand summation for a nontrivial stochastic kernel
     kernel = np.array([[0.8, 0.2], [0.3, 0.7]])
-    chan = StochasticChannel(src.alphabet, ["a", "b"], kernel)
-    enc = apply_encoder(src, chan)
+    msg, p, states = _encode(src, kernel)
     p_a = 0.5 * 0.8 + 0.5 * 0.3
     sigma_a = (0.5 * 0.8 * src.states[0].entries + 0.5 * 0.3 * src.states[1].entries) / p_a
-    assert abs(enc.p_w[0] - p_a) < 1e-14
-    np.testing.assert_allclose(enc.states[0].entries, sigma_a, atol=1e-13)
-
-    with pytest.raises(DimensionMismatchError):
-        apply_encoder(src, StochasticChannel.identity(["x", "y"]))
+    assert abs(p[0] - p_a) < 1e-14
+    np.testing.assert_allclose(states[0], sigma_a, atol=1e-13)
 
 
 def _bits(a):
@@ -203,25 +209,21 @@ def test_stacked_product_source_and_encoder_match_plain_loops():
     inst, msg, p, sigma = ht.encode_stack(q2, states2, kernels)
     assert inst.tolist() == [0, 0, 1, 1, 1] and msg.tolist() == [0, 1, 0, 1, 2]
     for k, src in enumerate(sources):
-        two = product_source(src, 2)
         seqs = list(itertools.product(range(3), repeat=2))
-        # product_source and apply_encoder as plain loops
+        # the n-letter extension and the encoder as plain loops
         want_q = [float(np.prod([src.q_x[i] for i in seq])) for seq in seqs]
         want_states = [tensor_all([src.states[i] for i in seq]).entries for seq in seqs]
-        assert _bits(q2[k]) == _bits(np.array(want_q)) == _bits(two.q_x)
-        for got, mine, want in zip(states2[k], two.states, want_states):
-            assert _bits(got) == _bits(mine.entries) == _bits(want)
-        weights = two.q_x[:, None] * kernels[k]
+        assert _bits(q2[k]) == _bits(np.array(want_q))
+        for got, want in zip(states2[k], want_states):
+            assert _bits(got) == _bits(want)
+        weights = q2[k][:, None] * kernels[k]
         p_all = weights.sum(axis=0)
-        encoded = apply_encoder(two, StochasticChannel(two.alphabet, ["0", "1", "2"], kernels[k]))
         rows = np.flatnonzero(inst == k)
-        assert [str(j) for j in msg[rows]] == list(encoded.messages)
-        for r, m, state in zip(rows, encoded.messages, encoded.states):
-            j = int(m)
-            block = sum(weights[i, j] * two.states[i].entries for i in range(9) if weights[i, j] > 0.0)
-            assert p[r] == p_all[j] == encoded.p_w[list(encoded.messages).index(m)]
+        assert msg[rows].tolist() == [j for j in range(3) if p_all[j] > 1e-14]
+        for r, j in zip(rows, msg[rows].tolist()):
+            block = sum(weights[i, j] * states2[k][i] for i in range(9) if weights[i, j] > 0.0)
+            assert p[r] == p_all[j]
             assert _bits(sigma[r]) == _bits(block / p_all[j])
-            assert _bits(state.entries) == _bits(DensityMatrix(block / p_all[j]).entries)
 
 
 def test_expurgate_stack_raises_the_first_broken_family():
@@ -295,20 +297,20 @@ def test_brute_force_matches_independent_oracle():
 
 
 def _encoder_loop_reference(src, n, r1, eps):
-    """Brute force as a plain loop: each encoder's blocks in increasing
-    message order, blocks of mass <= 1e-14 dropped, solved block by block as
-    a stack of one; first minimum wins."""
-    src_n = product_source(src, n)
+    """Brute force as a plain loop over the unvalidated product states: each
+    encoder's blocks in increasing message order, blocks of mass <= 1e-14
+    dropped, solved block by block as a stack of one; first minimum wins."""
+    q_n, states_n = ht.product_stack(src.q_x, _stack(src), n)
     rho1 = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
     best = None
-    for assignment in itertools.product(range(message_count(n, r1)), repeat=src_n.size):
+    for assignment in itertools.product(range(message_count(n, r1)), repeat=len(q_n)):
         null_blocks, alt_blocks = [], []
         for w in sorted(set(assignment)):
             members = [i for i, a in enumerate(assignment) if a == w]
-            p = float(np.sum(src_n.q_x[members]))
+            p = float(np.sum(q_n[members]))
             if p <= 1e-14:
                 continue
-            null_blocks.append(sum(src_n.q_x[i] * src_n.states[i].entries for i in members))
+            null_blocks.append(sum(q_n[i] * states_n[i] for i in members))
             alt_blocks.append(p * rho1)
         null, alt = (density_stack(np.stack(b)[None], blocks=True) for b in (null_blocks, alt_blocks))
         beta = float(ht.neyman_pearson_beta_stack(null, alt, eps)[0])
@@ -429,56 +431,64 @@ def test_brute_force_cap():
 
 
 def _encoded_family(seed, w_size=4):
+    """A random test family on the n = 2 extension of ``_src()`` under a
+    random deterministic encoder into ``w_size`` messages: the checked test
+    operators, message probabilities and conditional states of the kept
+    messages, and the product alternative, as ``expurgate_stack`` takes them."""
     rng = np.random.default_rng(seed)
     src = _src()
-    src2 = product_source(src, 2)
-    assignment = [int(rng.integers(0, w_size)) for _ in range(src2.size)]
-    enc = StochasticChannel.deterministic(
-        src2.alphabet, [str(w) for w in range(w_size)], assignment
-    )
-    encoded = apply_encoder(src2, enc)
-    rho1 = DensityMatrix(tensor_all([src.rho_y] * 2))
-    ops = {}
-    for m in encoded.messages:
-        raw = random_psd(4, int(rng.integers(0, 2**31))).entries
-        ops[m] = HermitianOperator(raw / (np.linalg.eigvalsh(raw)[-1] + 1e-9), (2, 2))
-    return TestFamily(encoded.messages, ops), encoded, rho1
+    q2, states2 = ht.product_stack(src.q_x, _stack(src), 2)
+    assignment = [int(rng.integers(0, w_size)) for _ in range(len(q2))]
+    kernel = np.eye(w_size)[assignment]
+    _, _, p, sigma = ht.encode_stack(q2[None], density_stack(states2)[None], kernel[None])
+    rho1 = tensor_all([src.rho_y] * 2).entries
+    raw = np.stack([random_psd(4, int(rng.integers(0, 2**31))).entries for _ in p])
+    ops = ht.measurement_stack(raw / (np.linalg.eigvalsh(raw)[:, -1] + 1e-9)[:, None, None])
+    return ops, p, density_stack(sigma), rho1
 
 
 def test_expurgate_postconditions_random_families():
     for seed in range(30):
-        fam, encoded, rho1 = _encoded_family(seed)
-        out = expurgate(fam, encoded, rho1, 0.3)  # raises internally if broken
+        ops, p, sigma, rho1 = _encoded_family(seed)
+        _, out = ht.expurgate_stack(ops, p, sigma, rho1, 0.3)  # raises if broken
         # survivors sorted by type-II weight, nondecreasing
-        vals = [
-            float(np.trace(rho1.entries @ out.operators[m].entries).real)
-            for m in out.messages
-        ]
+        vals = [float(np.trace(rho1 @ op).real) for op in out]
         kept = [v for v in vals if v > 0.0]
         assert all(kept[i] <= kept[i + 1] + 1e-12 for i in range(len(kept) - 1))
 
 
 def test_expurgate_single_message_and_small_budget():
     src = _src()
-    enc = apply_encoder(src, StochasticChannel.constant(src.alphabet))
-    ops = {enc.messages[0]: HermitianOperator(np.eye(2) * 0.5)}
-    fam = TestFamily(enc.messages, ops)
-    out = expurgate(fam, enc, src.rho_y, 0.4)
-    np.testing.assert_allclose(
-        out.operators[enc.messages[0]].entries, ops[enc.messages[0]].entries
-    )
+    _, _, p, sigma = ht.encode_stack(src.q_x[None], _stack(src)[None], np.ones((1, 2, 1)))
+    op = np.eye(2, dtype=complex)[None] * 0.5
+    _, out = ht.expurgate_stack(op, p, density_stack(sigma), src.rho_y.entries, 0.4)
+    np.testing.assert_allclose(out, op)
     # a budget below every tail mass leaves multi-message families unchanged
-    fam4, encoded4, rho14 = _encoded_family(99)
-    tiny = float(np.min(encoded4.p_w)) * 0.5
-    out4 = expurgate(fam4, encoded4, rho14, tiny)
-    for m in fam4.messages:
-        np.testing.assert_allclose(
-            out4.operators[m].entries, fam4.operators[m].entries
-        )
+    ops4, p4, sigma4, rho14 = _encoded_family(99)
+    tiny = float(np.min(p4)) * 0.5
+    order4, out4 = ht.expurgate_stack(ops4, p4, sigma4, rho14, tiny)
+    np.testing.assert_allclose(out4, ops4[order4])
     with pytest.raises(DomainError):
-        expurgate(fam4, encoded4, rho14, 1.0)
+        ht.expurgate_stack(ops4, p4, sigma4, rho14, 1.0)
 
 
 def test_test_family_validation():
     with pytest.raises(ValidationError):
-        TestFamily(["a"], {"a": HermitianOperator(1.5 * np.eye(2))})
+        ht.measurement_stack(1.5 * np.eye(2, dtype=complex)[None], ["a"])
+
+
+def test_brute_force_builds_no_density_matrix(monkeypatch):
+    # the n-letter extension is read from product_stack: no validated
+    # DensityMatrix per sequence and no n-letter CQSource
+    src, _ = load_model(EXAMPLE_MODEL)
+    built = []
+    init = DensityMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting)
+    beta, _, _ = brute_force_beta_distributed(src, 3, 0.3, 0.3)
+    assert len(built) == 0
+    assert beta == 0.43612058998199416

@@ -9,14 +9,10 @@ from cqbounds import (
     DomainError,
     HermitianOperator,
     PreconditionError,
-    SemigroupSpec,
-    ValidationError,
     check_alt,
     check_reverse_alt,
     check_reverse_holder,
     check_rhc,
-    depolarize_heisenberg,
-    depolarize_schrodinger,
     psi_map,
     psi_map_sites,
     random_density,
@@ -31,14 +27,18 @@ from cqbounds import (
 from cqbounds import _linalg as la
 
 
-def _spec(seed=5, dim=2, floor=0.1):
-    return SemigroupSpec(random_density(dim, seed, min_eig_floor=floor))
+def _sigma(seed=5, dim=2, floor=0.1):
+    return random_density(dim, seed, min_eig_floor=floor)
 
 
-def test_spec_validation():
-    with pytest.raises(ValidationError):
-        SemigroupSpec(DensityMatrix(np.diag([1.0, 0.0])))
-    assert _spec().mlsi_lower_bound == 0.25
+def _heisenberg(x, t, sigma):
+    """The depolarizing map e^-t X + (1-e^-t) tr(sigma X) Id: psi_map at gamma = 1."""
+    return psi_map(x, t, 1.0, sigma)
+
+
+def _schrodinger(rho, t, sigma):
+    """Its dual e^-t rho + (1-e^-t) sigma, which fixes sigma."""
+    return math.exp(-t) * rho.entries + (1.0 - math.exp(-t)) * sigma.entries
 
 
 def test_weighted_norm_identity_and_linear_case():
@@ -70,58 +70,50 @@ def test_weighted_norm_errors():
 
 
 def test_depolarize_heisenberg_contract():
-    spec = _spec()
+    sigma = _sigma()
     x = random_hermitian(2, 21)
-    np.testing.assert_allclose(depolarize_heisenberg(x, 0.0, spec).entries, x.entries)
-    mean = float(np.trace(spec.invariant_state.entries @ x.entries).real)
-    far = depolarize_heisenberg(x, 50.0, spec)
+    np.testing.assert_allclose(_heisenberg(x, 0.0, sigma).entries, x.entries)
+    mean = float(np.trace(sigma.entries @ x.entries).real)
+    far = _heisenberg(x, 50.0, sigma)
     assert np.max(np.abs(far.entries - mean * np.eye(2))) < 1e-15
     eye = HermitianOperator(np.eye(2))
-    np.testing.assert_allclose(depolarize_heisenberg(eye, 0.7, spec).entries, np.eye(2))
+    np.testing.assert_allclose(_heisenberg(eye, 0.7, sigma).entries, np.eye(2))
     with pytest.raises(DomainError):
-        depolarize_heisenberg(x, -0.1, spec)
+        _heisenberg(x, -0.1, sigma)
 
 
 def test_semigroup_law_and_duality():
-    spec = _spec()
+    sigma = _sigma()
     rng = np.random.default_rng(2)
     for t in (0.1, 0.5, 1.0):
         for s in (0.1, 0.5, 1.0):
             x = random_hermitian(2, int(rng.integers(0, 2**31)))
-            once = depolarize_heisenberg(x, t + s, spec)
-            twice = depolarize_heisenberg(depolarize_heisenberg(x, s, spec), t, spec)
+            once = _heisenberg(x, t + s, sigma)
+            twice = _heisenberg(_heisenberg(x, s, sigma), t, sigma)
             assert np.max(np.abs(once.entries - twice.entries)) <= 1e-12
     for _ in range(1000):
         x = random_hermitian(2, int(rng.integers(0, 2**31)))
         rho = random_density(2, int(rng.integers(0, 2**31)))
         t = float(rng.uniform(0.0, 2.0))
-        lhs = np.trace(rho.entries @ depolarize_heisenberg(x, t, spec).entries)
-        rhs = np.trace(depolarize_schrodinger(rho, t, spec).entries @ x.entries)
+        lhs = np.trace(rho.entries @ _heisenberg(x, t, sigma).entries)
+        rhs = np.trace(_schrodinger(rho, t, sigma) @ x.entries)
         assert abs(lhs - rhs) <= 1e-12
 
 
-def test_depolarize_schrodinger_contract():
-    spec = _spec()
-    rho = random_density(2, 33)
-    np.testing.assert_allclose(depolarize_schrodinger(rho, 0.0, spec).entries, rho.entries)
-    fixed = depolarize_schrodinger(spec.invariant_state, 1.3, spec)
-    np.testing.assert_allclose(fixed.entries, spec.invariant_state.entries, atol=1e-15)
-
-
 def test_tensor_depolarize_reductions():
-    spec = _spec()
+    sigma = _sigma()
     x = random_hermitian(2, 40)
-    one_site = tensor_depolarize(x, 0.4, [spec.invariant_state])
-    direct = depolarize_heisenberg(x, 0.4, spec)
+    one_site = tensor_depolarize(x, 0.4, [sigma])
+    direct = _heisenberg(x, 0.4, sigma)
     np.testing.assert_allclose(one_site.entries, direct.entries, atol=1e-13)
 
     # product input factorizes sitewise
     y = random_hermitian(2, 41)
     sig2 = random_density(2, 42, min_eig_floor=0.1)
     joint = tensor(x, y)
-    moved = tensor_depolarize(joint, 0.7, [spec.invariant_state, sig2])
-    fa = depolarize_heisenberg(x, 0.7, spec)
-    fb = depolarize_heisenberg(y, 0.7, SemigroupSpec(sig2))
+    moved = tensor_depolarize(joint, 0.7, [sigma, sig2])
+    fa = _heisenberg(x, 0.7, sigma)
+    fb = _heisenberg(y, 0.7, sig2)
     np.testing.assert_allclose(moved.entries, np.kron(fa.entries, fb.entries), atol=1e-12)
 
     # unitality on three sites
@@ -138,7 +130,7 @@ def test_tensor_depolarize_factorizes_over_unequal_site_dimensions():
     states = [random_density(d, 46 + k, min_eig_floor=0.05) for k, d in enumerate(dims)]
     joint = tensor(tensor(factors[0], factors[1]), factors[2])
     moved = tensor_depolarize(joint, 0.6, states)
-    sitewise = [depolarize_heisenberg(f, 0.6, SemigroupSpec(s)) for f, s in zip(factors, states)]
+    sitewise = [_heisenberg(f, 0.6, s) for f, s in zip(factors, states)]
     want = np.kron(np.kron(sitewise[0].entries, sitewise[1].entries), sitewise[2].entries)
     np.testing.assert_allclose(moved.entries, want, atol=1e-12)
 
@@ -153,10 +145,6 @@ def test_psi_map_contract():
     rho_y = random_density(2, 50, min_eig_floor=0.1)
     t_op = random_psd(2, 51)
     np.testing.assert_allclose(psi_map(t_op, 0.0, 2.0, rho_y).entries, t_op.entries)
-    for t in (0.0, 0.8, 2.5):
-        gamma_one = psi_map(t_op, t, 1.0, rho_y)
-        direct = depolarize_heisenberg(t_op, t, SemigroupSpec(rho_y))
-        assert np.array_equal(gamma_one.entries, direct.entries)
     # trace identity tr(rho Psi_t(T)) = (e^-t + gamma(1-e^-t)) tr(rho T)
     gamma, t = 1.7, 0.6
     moved = psi_map(t_op, t, gamma, rho_y)

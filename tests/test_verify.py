@@ -1,7 +1,8 @@
 """The stacked verify suites against their instances rebuilt one at a time.
 
 Each reference below redraws one instance from its own stream and calls the
-public single-instance functions; every row must print the same bytes.
+public functions on it alone (the stacked ones as a stack of one); every row
+must print the same bytes.
 """
 
 import math
@@ -19,6 +20,7 @@ from cqbounds.operators import (
     DensityMatrix,
     HermitianOperator,
     apply_kraus,
+    density_stack,
     random_channel_kraus,
     random_density,
     random_psd,
@@ -113,7 +115,7 @@ def _renyi_limit(i):
 
 
 def _np_scan_reference(rho0, rho1, eps, budget=400):
-    """``np_scan_oracle`` written out for one pair of matrices."""
+    """``np_scan_oracle_stack`` written out for one pair of matrices."""
     r0, r1 = rho0.entries, rho1.entries
     w1, v1 = np.linalg.eigh(r1)
     supp = w1 > 1e-12 * max(1.0, float(w1[-1]))
@@ -156,7 +158,7 @@ def _np_oracle(i):
     rho0 = random_density(dim, vf._child_seed(rng), min_eig_floor=0.01)
     rho1 = random_density(dim, vf._child_seed(rng), min_eig_floor=0.01)
     beta, _ = ht.neyman_pearson_beta(rho0, rho1, eps)
-    oracle = vf.np_scan_oracle(rho0, rho1, eps)
+    oracle = float(vf.np_scan_oracle_stack(rho0.entries[None], rho1.entries[None], eps)[0])
     assert oracle == _np_scan_reference(rho0, rho1, eps)
     return [[i, SEED, dim, eps, beta, oracle, 1e-9 - abs(beta - oracle)]]
 
@@ -164,28 +166,24 @@ def _np_oracle(i):
 def _expurgation(i):
     rng = vf._rng_for(SEED, "expurgation", i)
     src = vf._random_cq_source(rng, 2, 2)
-    src2 = ht.product_source(src, 2)
-    assignment = [int(rng.integers(0, 4)) for _ in range(src2.size)]
-    enc = ht.StochasticChannel.deterministic(src2.alphabet, [str(w) for w in range(4)], assignment)
-    encoded = ht.apply_encoder(src2, enc)
-    rho1 = DensityMatrix(tensor_all([src.rho_y] * 2))
-    ops = {}
-    for m in encoded.messages:
-        raw = random_psd(4, vf._child_seed(rng)).entries
-        ops[m] = HermitianOperator(raw / (np.linalg.eigvalsh(raw)[-1] + 1e-9), (2, 2))
-    fam = ht.TestFamily(encoded.messages, ops)
+    q2, states2 = ht.product_stack(src.q_x[None], np.stack([s.entries for s in src.states])[None], 2)
+    kernel = np.eye(4)[[int(rng.integers(0, 4)) for _ in range(4)]]
+    _, msg, p, sigma = ht.encode_stack(q2, density_stack(states2), kernel[None])
+    sigma = density_stack(sigma)
+    rho1 = DensityMatrix(tensor_all([src.rho_y] * 2)).entries
+    raw = [random_psd(4, vf._child_seed(rng)).entries for _ in msg]
+    ops = ht.measurement_stack(np.stack([r / (np.linalg.eigvalsh(r)[-1] + 1e-9) for r in raw]))
     eps_prime = float(rng.uniform(0.05, 0.9))
-    out = ht.expurgate(fam, encoded, rho1, eps_prime)
-    sigma = dict(zip(encoded.messages, encoded.states))
-    p = dict(zip(encoded.messages, encoded.p_w))
+    order, out = ht.expurgate_stack(ops, p, sigma, rho1, eps_prime)
+    out_by_msg = out[np.argsort(order)]
 
     def tr(a, b):
-        return np.trace(a.entries @ b.entries).real
+        return np.trace(a @ b).real
 
-    alpha_old = sum(p[m] * (1.0 - tr(sigma[m], fam.operators[m])) for m in encoded.messages)
-    beta_old = sum(p[m] * tr(rho1, fam.operators[m]) for m in encoded.messages)
-    alpha_new = sum(p[m] * (1.0 - tr(sigma[m], out.operators[m])) for m in encoded.messages)
-    worst_beta = max(tr(rho1, out.operators[m]) for m in out.messages)
+    alpha_old = sum(p[j] * (1.0 - tr(sigma[j], ops[j])) for j in range(len(msg)))
+    beta_old = sum(p[j] * tr(rho1, ops[j]) for j in range(len(msg)))
+    alpha_new = sum(p[j] * (1.0 - tr(sigma[j], out_by_msg[j])) for j in range(len(msg)))
+    worst_beta = max(tr(rho1, op) for op in out)
     return [
         [i, SEED, "type-one", eps_prime, alpha_old + eps_prime, alpha_new,
          (alpha_old + eps_prime) - alpha_new],
