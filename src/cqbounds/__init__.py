@@ -1,7 +1,7 @@
 """Numerics for entropic quantities, functional-inequality margins, and
 finite-blocklength strong-converse bounds of small classical-quantum systems.
 
-Everything computes in nats; ``EntropyValue`` carries a derived bits view.
+Everything computes in nats; the CLI converts to bits on request.
 """
 
 import ctypes as _ctypes
@@ -21,7 +21,6 @@ for _pkg in ("numpy", "scipy"):
             getattr(_ctypes.CDLL(_path), _setter, lambda _n: None)(1)
 
 from .bottleneck import (  # noqa: E402
-    ChannelWithPosterior,
     DeltaInstance,
     TypicalSet,
     continuity_margin,
@@ -49,7 +48,6 @@ from .bounds import (  # noqa: E402
     verify_key_inequality,
 )
 from .entropy import (  # noqa: E402
-    EntropyValue,
     fidelity,
     relative_entropy,
     relative_entropy_variational_value,
@@ -67,7 +65,6 @@ from .errors import (  # noqa: E402
 from .hyptest import (  # noqa: E402
     CQSource,
     ErrorPair,
-    StochasticChannel,
     brute_force_beta_distributed,
     errors_of_test,
     message_count,

@@ -33,8 +33,8 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .hyptest import StochasticChannel, stack_step
-from .operators import DensityMatrix, HermitianOperator, _as_array, stack_entries, tensor_all
+from .hyptest import stack_step
+from .operators import HermitianOperator, _as_array, stack_entries, tensor_all
 from .reports import BoundReport
 from .semigroup import InequalityMargin
 
@@ -102,23 +102,12 @@ class DeltaResult(NamedTuple):
 
 class DeltaStarResult(NamedTuple):
     value: float
-    best: "ChannelWithPosterior"
+    #: the maximizing channel P_U|X, one row-stochastic row per input symbol
+    kernel: np.ndarray
+    #: its output marginal P_U = sum_x q(x) P_U|X(.|x)
+    p_u: np.ndarray
     #: (I(U;Y), I(U;X)) of the maximizing channel against the average output
     informations: tuple
-
-
-@dataclass(frozen=True)
-class ChannelWithPosterior:
-    """An auxiliary channel with its induced marginal, posterior, and outputs.
-
-    Rows of the posterior and conditional outputs are only meaningful for
-    messages u with marginal mass above 1e-14; others are zeroed/None.
-    """
-
-    p_u_given_x: StochasticChannel
-    p_u: np.ndarray
-    p_x_given_u: np.ndarray
-    sigma_y_given_u: tuple
 
 
 class _DeltaWork:
@@ -490,23 +479,6 @@ def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int, max_iter:
     return float(best_vals[best]), best_kernels[best]
 
 
-def _posterior_package(measure, states, kernel, u_labels, in_labels):
-    joint = np.asarray(measure)[:, None] * kernel
-    p_u = joint.sum(axis=0)
-    k, u_size = kernel.shape
-    posterior = np.zeros((u_size, k))
-    sigmas = []
-    stack = stack_entries(states)
-    for u in range(u_size):
-        if p_u[u] > _ROW_MASS_TOL:
-            posterior[u] = joint[:, u] / p_u[u]
-            sigmas.append(DensityMatrix(np.einsum("x,xjk->jk", posterior[u], stack)))
-        else:
-            sigmas.append(None)
-    chan = StochasticChannel(in_labels, u_labels, kernel)
-    return ChannelWithPosterior(chan, p_u, posterior, tuple(sigmas))
-
-
 def _validate_distribution(q, states):
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.shape[0] != len(states):
@@ -521,17 +493,15 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     """Best value of c D(sigma_Y|U || nu | P_U) - D(P_X|U || q | P_U).
 
     The optimization runs over row-stochastic kernels with ``u_size``
-    messages.  The result carries (I(U;Y), I(U;X)) of the maximizing channel
-    against the average output state; when nu equals that state the value
-    also equals c I(U;Y) - I(U;X), and both forms must agree within 1e-9.
+    messages.  The result carries the maximizing channel, its output
+    marginal P_U and its (I(U;Y), I(U;X)) against the average output state;
+    when nu equals that state the value also equals c I(U;Y) - I(U;X), and
+    both forms must agree within 1e-9.
     """
     q = _validate_distribution(q, states)
     states = tuple(states)
     work = _ChannelWork(q, q, states, nu, c)
     value, kernel = _ascend_channel(work, u_size, multistarts, max_iter)
-    in_labels = [str(i) for i in range(len(states))]
-    u_labels = [f"u{j}" for j in range(u_size)]
-    best = _posterior_package(q, states, kernel, u_labels, in_labels)
     rho_avg = np.einsum("x,xjk->jk", q, work.stack)
     i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
     if np.max(np.abs(_as_array(nu) - rho_avg)) <= 1e-12:
@@ -541,7 +511,7 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
                 f"conditional-divergence form {value!r} and mutual-information "
                 f"form {alt!r} disagree beyond 1e-9"
             )
-    return DeltaStarResult(value, best, (i_uy, i_ux))
+    return DeltaStarResult(value, kernel, (q[:, None] * kernel).sum(axis=0), (i_uy, i_ux))
 
 
 def chain_informations(q, stack, rho_avg, kernel):
@@ -594,7 +564,7 @@ def continuity_margin(p_tilde, q, states, rho_y, c: float, eps: float,
     phi_q = phi(q, q, states, rho_y, c, u_size, multistarts=multistarts)
     phi_tilde = phi(p_tilde, q, states, rho_y, c, u_size, multistarts=multistarts)
     lhs = phi_q + (c + 1.0) * math.log(eta) * eps
-    return InequalityMargin(lhs, phi_tilde, f"continuity eps={eps!r} c={c!r}")
+    return InequalityMargin(lhs, phi_tilde)
 
 
 # ---------------------------------------------------------------------------

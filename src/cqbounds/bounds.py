@@ -124,10 +124,8 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
         kept, null_blocks = message_blocks(rows, mass, null_mats)
         _, alt_blocks = message_blocks(rows, mass, alt_mats)
         p = mass[kept]
-        d = relative_entropy(
-            density_stack(null_blocks / p[:, None, None]),
-            la.hermitize(alt_blocks / p[:, None, None]),
-        ).nats
+        d = relative_entropy(density_stack(null_blocks / p[:, None, None]),
+                             la.hermitize(alt_blocks / p[:, None, None]))
         totals = [0.0] * len(chunk)
         for e, pe, de in zip(enc[kept].tolist(), p.tolist(), d.tolist()):
             totals[e] += pe * de
@@ -273,7 +271,7 @@ def verify_key_inequality(mu_n, src: CQSource, t_n, c: float, t: float,
     rhs = 0.0
     for m, tr in zip(mu, traces):
         rhs += m * max(0.0, tr)**exponent
-    return InequalityMargin(lhs, rhs, f"key c={c!r} t={t!r} n={n}")
+    return InequalityMargin(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ def image_size_bound_i(mu_n, src: CQSource, sigma: DensityMatrix, t_n, c: float,
         observed = math.inf
     else:
         observed = math.log(prob) - c * math.log(denom)
-    return InequalityMargin(bound, observed, f"image-size-i c={c!r} delta={delta_prob!r} n={n}")
+    return InequalityMargin(bound, observed)
 
 
 def image_size_bound_ii(q, src: CQSource, sigma: DensityMatrix, c: float,

@@ -113,23 +113,23 @@ def _rate_in(value: float, bits: bool) -> float:
 def _cmd_entropy(args, report: Report):
     src, alt = load_model(args.model)
     report.add("H_X", bd.source_entropy(src), "nats")
-    report.add("S_avg_output", von_neumann_entropy(src.rho_y).nats, "nats")
+    report.add("S_avg_output", von_neumann_entropy(src.rho_y), "nats")
     joint = src.joint_state()
-    report.add("S_joint", von_neumann_entropy(joint).nats, "nats")
+    report.add("S_joint", von_neumann_entropy(joint), "nats")
     report.add("I_XY", bd.source_mutual_information(src), "nats")
     report.add("H_Y_given_X", bd.source_conditional_output_entropy(src), "nats")
     report.add("eta", src.eta)
     report.add("gamma", src.gamma)
     if alt is not None:
         alt_joint = CQSource(src.alphabet, src.q_x, alt).joint_state()
-        report.add("D_joint_vs_alt", relative_entropy(joint, alt_joint).nats, "nats")
+        report.add("D_joint_vs_alt", relative_entropy(joint, alt_joint), "nats")
 
 
 def _cmd_beta(args, report: Report):
     src, alt = load_model(args.model)
     if args.r1 is not None:
         rate = _rate_in(args.r1, args.bits)
-        beta, encoder, record = brute_force_beta_distributed(src, args.n, rate, args.eps)
+        beta, record = brute_force_beta_distributed(src, args.n, rate, args.eps)
         report.add("beta_min", beta)
         report.add("w_size", record.constants["w_size"])
         report.add("num_encoders", record.constants["num_encoders"])
@@ -175,7 +175,7 @@ def _cmd_delta_star(args, report: Report):
     u_size = args.u_size if args.u_size else src.size + 1
     res = bn.delta_star(src.q_x, src.states, nu, args.c, u_size)
     report.add("delta_star", res.value, "nats")
-    for j, p in enumerate(res.best.p_u):
+    for j, p in enumerate(res.p_u):
         report.add(f"p_u[{j}]", float(p))
 
 

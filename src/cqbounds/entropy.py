@@ -1,16 +1,14 @@
 """Entropic functionals: von Neumann and relative entropies, Renyi orders,
 fidelity, and the variational lower form of the relative entropy.
 
-All values are computed in nats; :class:`EntropyValue` carries the derived
-bits representation.  The convention 0 log 0 = 0 applies throughout, and a
-support violation returns +inf rather than raising.
+All values are in nats: a float, or an array for a stack of arguments.  The
+convention 0 log 0 = 0 applies throughout, and a support violation returns
++inf rather than raising.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _linalg as la
@@ -21,26 +19,9 @@ from .operators import DensityMatrix, _as_array
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """An entropic scalar in nats with a derived bits view; +inf propagates."""
-
-    nats: float
-
-    @property
-    def bits(self) -> float:
-        return self.nats / LN2
-
-    def __float__(self) -> float:
-        return self.nats
-
-    def __repr__(self):
-        return f"EntropyValue(nats={self.nats!r})"
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> EntropyValue:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda ln lambda over the spectrum above the support cut."""
-    return EntropyValue(max(0.0, la.entropy_psd(_as_array(rho))))
+    return max(0.0, la.entropy_psd(_as_array(rho)))
 
 
 def _support_violated(rho_arr: np.ndarray, sigma_arr: np.ndarray) -> np.ndarray:
@@ -73,11 +54,10 @@ def _pair(rho, sigma):
     return r, s
 
 
-def relative_entropy(rho: DensityMatrix, sigma) -> EntropyValue:
+def relative_entropy(rho: DensityMatrix, sigma):
     """Umegaki relative entropy tr[rho(ln rho - ln sigma)]; +inf off-support.
 
-    Also takes stacks (..., d, d) of arrays, giving an array of values in
-    ``nats``.
+    Also takes stacks (..., d, d) of arrays, giving an array of values.
     """
     r, s = _pair(rho, sigma)
     off_support = _support_violated(r, s)
@@ -90,21 +70,19 @@ def relative_entropy(rho: DensityMatrix, sigma) -> EntropyValue:
         s = np.where(off_support[..., None, None], np.eye(s.shape[-1]), s)
     log_s = la.logm_psd(s, restricted=True)
     nats = np.where(off_support, math.inf, tr_rho_log_rho - la.inner_real(r, log_s))
-    return EntropyValue(la.scalar_or_array(nats))
+    return la.scalar_or_array(nats)
 
 
-def renyi_relative_entropy(rho: DensityMatrix, sigma, alpha: float) -> EntropyValue:
+def renyi_relative_entropy(rho: DensityMatrix, sigma, alpha: float):
     """Relative Renyi entropy (1/(alpha-1)) ln tr(rho^alpha sigma^(1-alpha)).
 
-    Also takes stacks (..., d, d) of arrays, giving an array of values in
-    ``nats``.
+    Also takes stacks (..., d, d) of arrays, giving an array of values.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1); got {alpha!r}")
     r, s = _pair(rho, sigma)
     q = la.inner_real(la.powm_psd(r, alpha), la.powm_psd(s, 1.0 - alpha))
-    return EntropyValue(la.per_member(
-        lambda x: math.inf if x <= 0.0 else math.log(x) / (alpha - 1.0), q))
+    return la.per_member(lambda x: math.inf if x <= 0.0 else math.log(x) / (alpha - 1.0), q)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -117,12 +95,12 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(1.0, max(0.0, val))
 
 
-def relative_entropy_variational_value(rho: DensityMatrix, sigma, g) -> EntropyValue:
+def relative_entropy_variational_value(rho: DensityMatrix, sigma, g):
     """tr[rho ln G] - ln tr[e^(ln sigma + ln G)], a lower form of D(rho||sigma).
 
     Never exceeds the relative entropy; equality holds at
     G = e^(ln rho - ln sigma) for full-rank inputs.  Also takes stacks
-    (..., d, d) of arrays, giving an array of values in ``nats``.
+    (..., d, d) of arrays, giving an array of values.
     """
     g_arr = _as_array(g)
     if np.any(np.linalg.eigvalsh(g_arr)[..., 0] <= SUPPORT_TOL):
@@ -142,4 +120,4 @@ def relative_entropy_variational_value(rho: DensityMatrix, sigma, g) -> EntropyV
         g_c = basis.conj().T @ g_arr[idx] @ basis
         mix = s_c + la.logm_psd(la.hermitize(g_c, tol=1e-9))
         trace_exp[idx] = la.trace_real(la.expm_herm(mix))
-    return EntropyValue(la.per_member(lambda f, t: f - math.log(t), first, trace_exp))
+    return la.per_member(lambda f, t: f - math.log(t), first, trace_exp)

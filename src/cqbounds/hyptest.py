@@ -3,9 +3,10 @@ encoders, brute-force distributed type-II error, and test expurgation.
 
 Everything past the single-letter source works on stacked arrays: the
 n-letter extension is ``product_stack`` (sequence probabilities and product
-states, never an n-letter ``CQSource``), encoders act through
-``encode_stack`` and ``encoder_rows``/``message_blocks``, and expurgation
-is ``expurgate_stack``.
+states, never an n-letter ``CQSource``), encoders are row-stochastic kernel
+arrays (a deterministic one is a tuple of message indices, one per
+sequence) acting through ``encode_stack`` and
+``encoder_rows``/``message_blocks``, and expurgation is ``expurgate_stack``.
 
 The optimal-test solver sweeps the thresholds given by the generalized
 eigenvalues of the pencil rho0 - t rho1 and mixes in the boundary eigenspace
@@ -127,58 +128,6 @@ class CQSource:
 
     def __repr__(self):
         return f"CQSource(|X|={self.size}, d_y={self.d_y}, eta={self.eta:.4g}, gamma={self.gamma:.4g})"
-
-
-class StochasticChannel:
-    """A row-stochastic kernel between two finite alphabets."""
-
-    __slots__ = ("in_alphabet", "out_alphabet", "kernel")
-
-    def __init__(self, in_alphabet, out_alphabet, kernel):
-        in_alphabet = tuple(str(a) for a in in_alphabet)
-        out_alphabet = tuple(str(a) for a in out_alphabet)
-        k = np.asarray(kernel, dtype=float)
-        if k.shape != (len(in_alphabet), len(out_alphabet)):
-            raise ValidationError(
-                f"kernel shape {k.shape} incompatible with alphabets "
-                f"{len(in_alphabet)}x{len(out_alphabet)}"
-            )
-        if np.any(k < -1e-12):
-            raise ValidationError("kernel entries must be nonnegative")
-        k = np.maximum(k, 0.0)
-        rows = k.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
-            worst = int(np.argmax(np.abs(rows - 1.0)))
-            raise ValidationError(
-                f"kernel row {worst} sums to {rows[worst]!r}, not 1 (tolerance 1e-12)"
-            )
-        k.setflags(write=False)
-        object.__setattr__(self, "in_alphabet", in_alphabet)
-        object.__setattr__(self, "out_alphabet", out_alphabet)
-        object.__setattr__(self, "kernel", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StochasticChannel is immutable")
-
-    @classmethod
-    def identity(cls, alphabet):
-        n = len(alphabet)
-        return cls(alphabet, alphabet, np.eye(n))
-
-    @classmethod
-    def constant(cls, in_alphabet):
-        return cls(in_alphabet, ["*"], np.ones((len(in_alphabet), 1)))
-
-    @classmethod
-    def deterministic(cls, in_alphabet, out_alphabet, assignment):
-        """Encoder x -> out_alphabet[assignment[x_index]]."""
-        k = np.zeros((len(in_alphabet), len(out_alphabet)))
-        for i, w in enumerate(assignment):
-            k[i, w] = 1.0
-        return cls(in_alphabet, out_alphabet, k)
-
-    def __repr__(self):
-        return f"StochasticChannel({len(self.in_alphabet)}->{len(self.out_alphabet)})"
 
 
 def measurement_stack(arr: np.ndarray, labels=None) -> np.ndarray:
@@ -423,13 +372,6 @@ def errors_of_test(t_op, rho0: DensityMatrix, rho1: DensityMatrix) -> ErrorPair:
     return ErrorPair(alpha, beta)
 
 
-def product_label(labels) -> str:
-    labels = list(labels)
-    if all(len(s) == 1 for s in labels):
-        return "".join(labels)
-    return ",".join(labels)
-
-
 def check_product_dim(src: CQSource, n: int):
     """Reject n < 1 and n-letter joint dimensions (|X| d_y)^n above the cap."""
     if n < 1:
@@ -595,10 +537,14 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     Enumerates every map from length-n sequences into a message set of size
     max(1, floor(e^(n r1))) and solves the blockwise testing problem against
     the product alternative.  The result is an upper bound on the true
-    infimum, witnessed by the returned encoder; randomized encoders are
-    convex mixtures and cannot beat the best deterministic one here.
-    Encoders are solved in stacks of at most ``STACK_BYTES`` of
-    block-diagonal states, read from the unvalidated ``product_stack``.
+    infimum; randomized encoders are convex mixtures and cannot beat the best
+    deterministic one here.  Encoders are solved in stacks of at most
+    ``STACK_BYTES`` of block-diagonal states, read from the unvalidated
+    ``product_stack``.  Returns (beta, record); the record's witness
+    ``assignment`` is the first encoder, in lexicographic order, with the
+    smallest computed beta.  Encoders related by a symmetry (relabelled
+    messages, permuted letters of an i.i.d. source) have equal betas in exact
+    arithmetic, so they tie up to rounding and the last bits pick the witness.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0,1); got {eps!r}")
@@ -613,11 +559,6 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
         for assignment, beta in zip(chunk, _encoder_betas(chunk, q_n, states_n, rho1_entries, eps)):
             if best_beta is None or beta < best_beta:
                 best_beta, best_assignment = beta, assignment
-    labels = [product_label(src.alphabet[i] for i in seq)
-              for seq in itertools.product(range(src.size), repeat=n)]
-    encoder = StochasticChannel.deterministic(
-        labels, [str(w) for w in range(w_size)], best_assignment
-    )
     record = BoundReport(
         name="brute-force-distributed-beta",
         first_order=-math.log(max(best_beta, 1e-300)) / n,
@@ -631,7 +572,7 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
         },
         witnesses={"assignment": best_assignment},
     )
-    return best_beta, encoder, record
+    return best_beta, record
 
 
 def expurgate_stack(ops: np.ndarray, p: np.ndarray, sigma: np.ndarray, rho1: np.ndarray,

@@ -34,6 +34,12 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
         raise ValidationError(
             f"{where}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
         )
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):  # JSON NaN and Infinity parse as floats
+        r, c = bad[0][:2].tolist()
+        raise ValidationError(
+            f"{where}[{r}][{c}]: expected finite numbers, got {arr[r, c].tolist()!r}"
+        )
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -61,6 +67,10 @@ def load_model(path):
             doc = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"model file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ValidationError(f"cannot read model file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -29,7 +29,6 @@ class InequalityMargin:
 
     lhs: float
     rhs: float
-    instance_digest: str = ""
     margin: float = field(init=False)
 
     def __post_init__(self):
@@ -180,7 +179,7 @@ def check_rhc(g_n, site_states, p: float, q: float, t: float) -> InequalityMargi
     moved = tensor_depolarize(g_n, t, site_states)
     lhs = weighted_lp_norm(moved, p, sigma_joint)
     rhs = weighted_lp_norm(g_n, q, sigma_joint)
-    return InequalityMargin(lhs, rhs, f"rhc p={p!r} q={q!r} t={t!r}")
+    return InequalityMargin(lhs, rhs)
 
 
 def check_alt(a, b, r) -> InequalityMargin:
@@ -199,7 +198,7 @@ def check_alt(a, b, r) -> InequalityMargin:
     lhs = la.trace_real(la.powm_psd(inner, r_arr))
     b_rhalf = la.powm_psd(b_arr, r_arr / 2.0)
     rhs = la.trace_real(la.hermitize(b_rhalf @ la.powm_psd(a_arr, r_arr) @ b_rhalf, tol=1e-8))
-    return InequalityMargin(lhs, rhs, f"alt r={r!r}")
+    return InequalityMargin(lhs, rhs)
 
 
 def holder_conjugate(p: float) -> float:
@@ -228,7 +227,7 @@ def check_reverse_holder(a, b, p: float, sigma: DensityMatrix) -> InequalityMarg
     s_half = la.sqrtm_psd(_as_array(sigma))
     lhs = la.trace_real(s_half @ _as_array(a) @ s_half @ _as_array(b))
     rhs = weighted_lp_norm(a, p, sigma) * weighted_lp_norm(b, p_hat, sigma)
-    return InequalityMargin(lhs, rhs, f"rholder p={p!r}")
+    return InequalityMargin(lhs, rhs)
 
 
 def check_reverse_alt(a, b, r, a_exp, b_exp) -> InequalityMargin:
@@ -263,6 +262,4 @@ def check_reverse_alt(a, b, r, a_exp, b_exp) -> InequalityMargin:
     b_half = la.sqrtm_psd(b_arr)
     base = la.trace_real(la.hermitize(b_half @ a_arr @ b_half, tol=1e-8))
     rhs = la.per_member(lambda t, rr: max(t, 0.0) ** rr, base, r)
-    return InequalityMargin(
-        lhs, rhs, f"ralt r={la.scalar_or_array(r)!r} a={la.scalar_or_array(a_exp)!r} "
-        f"b={la.scalar_or_array(b_exp)!r}")
+    return InequalityMargin(lhs, rhs)

@@ -15,7 +15,6 @@ the first ``instances`` entries of their fixed instance lists.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,7 +82,8 @@ def _child_seed(rng) -> int:
 
 
 def _finish(name, columns, rows, margins, tolerance):
-    worst = min(margins) if margins else math.inf
+    # min() skips a NaN that is not first: any NaN margin is the worst
+    worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
     passed = worst >= -tolerance
     summary = {
         "instances": len(rows),
@@ -222,11 +222,11 @@ def run_entropy_dp(seed: int, instances: int) -> SuiteResult:
     columns = []
     for alpha in alphas:
         if alpha == 1.0:
-            before = en.relative_entropy(rho, sig).nats
-            after = en.relative_entropy(rho_out, sig_out).nats
+            before = en.relative_entropy(rho, sig)
+            after = en.relative_entropy(rho_out, sig_out)
         else:
-            before = en.renyi_relative_entropy(rho, sig, alpha).nats
-            after = en.renyi_relative_entropy(rho_out, sig_out, alpha).nats
+            before = en.renyi_relative_entropy(rho, sig, alpha)
+            after = en.renyi_relative_entropy(rho_out, sig_out, alpha)
         columns.append((alpha, before.tolist(), after.tolist()))
     rows = [[i, seed, alpha, before[i], after[i], before[i] - after[i]]
             for i in range(instances) for alpha, before, after in columns]
@@ -239,11 +239,11 @@ def run_entropy_var(seed: int, instances: int) -> SuiteResult:
     rho_seeds, sig_seeds, g_seeds = _seed_columns(seed, "entropy-var", instances, 3)
     rho = random_density_stack(2, rho_seeds, min_eig_floor=0.05)
     sig = random_density_stack(2, sig_seeds, min_eig_floor=0.05)
-    d = en.relative_entropy(rho, sig).nats.tolist()
+    d = en.relative_entropy(rho, sig).tolist()
     g_rand = random_psd_stack(2, g_seeds, min_eig_floor=0.1)
-    v_rand = en.relative_entropy_variational_value(rho, sig, g_rand).nats.tolist()
+    v_rand = en.relative_entropy_variational_value(rho, sig, g_rand).tolist()
     g_opt = la.hermitize(la.expm_herm(la.logm_psd(rho) - la.logm_psd(sig)))
-    v_opt = en.relative_entropy_variational_value(rho, sig, g_opt).nats.tolist()
+    v_opt = en.relative_entropy_variational_value(rho, sig, g_opt).tolist()
     rows = []
     for i in range(instances):
         gap = abs(d[i] - v_opt[i])
@@ -257,8 +257,8 @@ def run_renyi_limit(seed: int, instances: int) -> SuiteResult:
     rho_seeds, sig_seeds = _seed_columns(seed, "renyi-limit", instances, 2)
     rho = random_density_stack(2, rho_seeds, min_eig_floor=0.1)
     sig = random_density_stack(2, sig_seeds, min_eig_floor=0.1)
-    d = en.relative_entropy(rho, sig).nats.tolist()
-    da = en.renyi_relative_entropy(rho, sig, 0.999).nats.tolist()
+    d = en.relative_entropy(rho, sig).tolist()
+    da = en.renyi_relative_entropy(rho, sig, 0.999).tolist()
     rows = []
     for i in range(instances):
         gap = abs(da[i] - d[i])
@@ -386,7 +386,7 @@ def run_np_trend(seed: int, instances: int) -> SuiteResult:
     for i, (s0, s1) in enumerate(_TREND_SEEDS[:instances]):
         rho = random_density(2, s0, min_eig_floor=0.1)
         sig = random_density(2, s1, min_eig_floor=0.1)
-        d = en.relative_entropy(rho, sig).nats
+        d = en.relative_entropy(rho, sig)
         n = 6
         rho_n = DensityMatrix(tensor_all([rho] * n))
         sig_n = DensityMatrix(tensor_all([sig] * n))
@@ -485,14 +485,9 @@ def run_expurgation(seed: int, instances: int) -> SuiteResult:
         return _finish("expurgation", cols, [], [], 1e-10)
     rngs = [_rng_for(seed, "expurgation", i) for i in range(instances)]
     sources = [_cq_draw(rng, 2) for rng in rngs]
-    seqs = [ht.product_label(seq) for seq in itertools.product("01", repeat=2)]
     msg_labels = [str(w) for w in range(4)]
-    kernels = np.stack([
-        ht.StochasticChannel.deterministic(
-            seqs, msg_labels, [int(rng.integers(0, 4)) for _ in seqs]
-        ).kernel
-        for rng in rngs
-    ])
+    # one-hot kernels: each stream draws a message for each of the 4 sequences
+    kernels = np.stack([np.eye(4)[[int(rng.integers(0, 4)) for _ in range(4)]] for rng in rngs])
     q = np.array([qx for qx, _ in sources])
     states = random_density_stack(2, [s for _, seeds in sources for s in seeds], min_eig_floor=0.05)
     states = states.reshape(instances, 2, 2, 2)
@@ -645,7 +640,7 @@ def run_soundness(seed: int, instances: int) -> SuiteResult:
         for n in (1, 2, 3):
             for w_target in (1, 2):
                 r = (math.log(1.5) if w_target == 1 else math.log(2.5)) / n
-                beta, _, _ = ht.brute_force_beta_distributed(src, n, r, eps)
+                beta, _ = ht.brute_force_beta_distributed(src, n, r, eps)
                 exponent = -math.log(max(beta, 1e-300)) / n
                 key = round(r, 12)
                 if key not in first_cache:
@@ -692,7 +687,7 @@ def run_sandwich(seed: int, instances: int) -> SuiteResult:
                      1e-5 - abs(val - ixy)])
         theta = bd.theta_n_lower(src, [src.rho_y] * src.size, 1, math.log(src.size) + 0.05)
         joint = src.joint_state()
-        direct = en.relative_entropy(joint, src.independence_alternative()).nats
+        direct = en.relative_entropy(joint, src.independence_alternative())
         rows.append([2 * s_idx + 1, seed, s_idx, "theta-identity", theta, direct,
                      1e-9 - abs(theta - direct)])
     cols = ["instance_id", "seed", "source", "kind", "lhs", "rhs", "margin"]
@@ -749,4 +744,6 @@ def run_suite(name: str, seed: int, instances: int | None = None) -> SuiteResult
     budget = instances if instances is not None else DEFAULT_INSTANCES[name]
     if budget < 0:
         raise ValidationError(f"instances must be nonnegative; got {budget!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative; got {seed!r}")
     return SUITES[name](seed, budget)

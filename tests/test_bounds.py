@@ -57,7 +57,7 @@ def test_theta_identity_encoder_reaches_joint_divergence():
     src = _src()
     alt = [src.rho_y] * 2  # testing against independence
     val = theta_n_lower(src, alt, 1, math.log(2.0) + 0.05)
-    direct = relative_entropy(src.joint_state(), src.independence_alternative()).nats
+    direct = relative_entropy(src.joint_state(), src.independence_alternative())
     assert abs(val - direct) < 1e-9
 
 
@@ -65,7 +65,7 @@ def test_theta_single_message():
     src = _src()
     alt_states = [random_density(2, 91, min_eig_floor=0.1)] * 2
     val = theta_n_lower(src, alt_states, 1, 0.1)  # |W| = 1
-    direct = relative_entropy(src.rho_y, HermitianOperator(alt_states[0].entries)).nats
+    direct = relative_entropy(src.rho_y, HermitianOperator(alt_states[0].entries))
     assert abs(val - direct) < 1e-9
 
 
@@ -364,7 +364,7 @@ def test_source_coding_first_order_endpoints():
     zero = source_coding_first_order(src, 0.0, 3, multistarts=8)
     from cqbounds import von_neumann_entropy
 
-    assert abs(zero - von_neumann_entropy(src.rho_y).nats) < 1e-9
+    assert abs(zero - von_neumann_entropy(src.rho_y)) < 1e-9
 
 
 def test_source_coding_monotone_and_threshold():

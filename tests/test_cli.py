@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,42 @@ def test_load_model_rejects_malformed_q_x_entries(model_path, tmp_path, capsys, 
     out = tmp_path / "r.txt"
     assert main(["entropy", "--model", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: q_x[0]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("family, entry", [
+    ("states", (0, 1, 1)), ("states", (0, 0, 1)),
+    ("alt_states", (1, 1, 1)), ("alt_states", (1, 1, 0)),
+], ids=["states-diagonal", "states-off-diagonal", "alt-diagonal", "alt-off-diagonal"])
+def test_load_model_rejects_non_finite_state_entries(model_path, tmp_path, capsys, value,
+                                                     family, entry):
+    doc = json.loads(_read(model_path))
+    i, r, c = entry
+    doc[family][i][r][c][0] = value
+    p = tmp_path / "bad_state_entry.json"
+    p.write_text(json.dumps(doc))  # NaN and inf are written as NaN / Infinity
+    where = f"{family}[{i}][{r}][{c}]"
+    with pytest.raises(ValidationError, match=f"^{re.escape(where)}: expected finite numbers"):
+        load_model(p)
+    out = tmp_path / "r.txt"
+    assert main(["entropy", "--model", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda p: p.mkdir(), "cannot read model file"),
+    (lambda p: p.write_bytes(b'\xff\xfe{"schema_version": 1}'), "not UTF-8"),
+], ids=["directory", "not-utf8"])
+def test_load_model_rejects_unreadable_files(tmp_path, capsys, make, match):
+    p = tmp_path / "model.json"
+    make(p)
+    with pytest.raises(ValidationError, match=match):
+        load_model(p)
+    out = tmp_path / "r.txt"
+    assert main(["entropy", "--model", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 
@@ -204,6 +241,14 @@ def test_cli_verify_rejects_a_negative_budget(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "instances must be nonnegative" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "v.alt.csv").exists()
+
+
+@pytest.mark.parametrize("suite", ["alt", "np-trend"])
+def test_cli_verify_rejects_a_negative_seed(tmp_path, capsys, suite):
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / f"v.{suite}.csv").exists()
 
 
 def test_cli_seeded_rerun_is_identical(model_path, tmp_path):

@@ -41,38 +41,37 @@ def _mutual_information(rho_ab):
 def _conditional_entropy(rho_ab):
     """H(A|B) = -D(rho_AB || Id_A x rho_B) of a bipartite state."""
     eye_a = HermitianOperator(np.eye(rho_ab.subsystem_dims[0], dtype=complex))
-    return -relative_entropy(rho_ab, tensor(eye_a, partial_trace(rho_ab, [1]))).nats
+    return -relative_entropy(rho_ab, tensor(eye_a, partial_trace(rho_ab, [1])))
 
 
 def test_von_neumann_entropy_examples():
     pure = DensityMatrix(np.diag([1.0, 0.0]))
-    assert von_neumann_entropy(pure).nats == 0.0
+    assert von_neumann_entropy(pure) == 0.0
     mixed = von_neumann_entropy(DensityMatrix(np.eye(2) / 2))
-    assert abs(mixed.nats - LN2) < 1e-14
-    assert abs(mixed.bits - 1.0) < 1e-14
+    assert abs(mixed - LN2) < 1e-14
     skew = von_neumann_entropy(DensityMatrix(np.diag([0.75, 0.25])))
-    assert abs(skew.nats - H_QUARTER) < 1e-14
+    assert abs(skew - H_QUARTER) < 1e-14
 
 
 def test_von_neumann_entropy_is_the_spectral_entropy():
     states = [random_density(d, seed) for d in (1, 2, 3, 4) for seed in (30, 31)]
     states += [DensityMatrix(np.diag([1.0, 0.0])), _bell()]
     for rho in states:
-        assert von_neumann_entropy(rho).nats == max(0.0, entropy_psd(rho.entries))
+        assert von_neumann_entropy(rho) == max(0.0, entropy_psd(rho.entries))
 
 
 def test_relative_entropy_examples():
     rho = random_density(3, 2, min_eig_floor=0.05)
-    assert abs(relative_entropy(rho, rho).nats) < 1e-12
+    assert abs(relative_entropy(rho, rho)) < 1e-12
     d = relative_entropy(DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0])))
-    assert math.isinf(d.nats) and math.isinf(d.bits)
+    assert math.isinf(d)
     d = relative_entropy(DensityMatrix(np.diag([0.75, 0.25])), DensityMatrix(np.eye(2) / 2))
-    assert abs(d.nats - KL_DIAG) < 1e-14
+    assert abs(d - KL_DIAG) < 1e-14
 
 
 def test_renyi_examples():
     rho = random_density(2, 4, min_eig_floor=0.1)
-    assert abs(renyi_relative_entropy(rho, rho, 0.5).nats) < 1e-12
+    assert abs(renyi_relative_entropy(rho, rho, 0.5)) < 1e-12
     # commuting diagonal case matches the classical scalar formula
     p = np.array([0.7, 0.3])
     q = np.array([0.4, 0.6])
@@ -80,7 +79,7 @@ def test_renyi_examples():
         expected = math.log(float(np.sum(p**alpha * q ** (1 - alpha)))) / (alpha - 1.0)
         got = renyi_relative_entropy(
             DensityMatrix(np.diag(p)), DensityMatrix(np.diag(q)), alpha
-        ).nats
+        )
         assert abs(got - expected) < 1e-12
     with pytest.raises(DomainError):
         renyi_relative_entropy(rho, rho, 1.0)
@@ -93,8 +92,8 @@ def test_renyi_converges_to_relative_entropy():
     for _ in range(50):
         rho = random_density(2, int(rng.integers(0, 2**31)), min_eig_floor=0.1)
         sig = random_density(2, int(rng.integers(0, 2**31)), min_eig_floor=0.1)
-        d = relative_entropy(rho, sig).nats
-        da = renyi_relative_entropy(rho, sig, 0.999).nats
+        d = relative_entropy(rho, sig)
+        da = renyi_relative_entropy(rho, sig, 0.999)
         assert abs(da - d) < 1e-3
 
 
@@ -106,24 +105,24 @@ def test_renyi_complement_formula():
     p = 0.25
     expected = -math.log(float(np.sum(a**p * b ** (1 - p)))) / p
     d_p = renyi_relative_entropy(HermitianOperator(np.diag(a)), HermitianOperator(np.diag(b)), p)
-    assert abs((1 - p) / p * d_p.nats - expected) < 1e-12
+    assert abs((1 - p) / p * d_p - expected) < 1e-12
 
 
 def test_mutual_information_examples():
     a = random_density(2, 6, min_eig_floor=0.1)
     b = random_density(2, 7, min_eig_floor=0.1)
     prod = DensityMatrix(np.kron(a.entries, b.entries), (2, 2))
-    assert abs(_mutual_information(prod).nats) < 1e-10
+    assert abs(_mutual_information(prod)) < 1e-10
 
     # perfectly correlated classical bit: oracle by 4x4 diagonal evaluation
     corr = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
     expected = sum(
         p * math.log(p / (0.5 * 0.5)) for p in (0.5, 0.5)
     )
-    assert abs(_mutual_information(corr).nats - expected) < 1e-12
+    assert abs(_mutual_information(corr) - expected) < 1e-12
     assert abs(expected - LN2) < 1e-15
 
-    assert abs(_mutual_information(_bell()).nats - 2 * LN2) < 1e-9
+    assert abs(_mutual_information(_bell()) - 2 * LN2) < 1e-9
 
 
 def test_mutual_information_matches_entropy_combination():
@@ -131,10 +130,10 @@ def test_mutual_information_matches_entropy_combination():
     for _ in range(30):
         joint = random_density(4, int(rng.integers(0, 2**31)), min_eig_floor=0.01)
         joint = DensityMatrix(joint.entries, (2, 2))
-        s_a = von_neumann_entropy(DensityMatrix(partial_trace(joint, [0]).entries)).nats
-        s_b = von_neumann_entropy(DensityMatrix(partial_trace(joint, [1]).entries)).nats
-        s_ab = von_neumann_entropy(joint).nats
-        i = _mutual_information(joint).nats
+        s_a = von_neumann_entropy(DensityMatrix(partial_trace(joint, [0]).entries))
+        s_b = von_neumann_entropy(DensityMatrix(partial_trace(joint, [1]).entries))
+        s_ab = von_neumann_entropy(joint)
+        i = _mutual_information(joint)
         assert i >= -1e-12
         assert abs(i - (s_a + s_b - s_ab)) < 1e-8
 
@@ -143,7 +142,7 @@ def test_conditional_entropy_examples():
     a = random_density(2, 8, min_eig_floor=0.1)
     b = random_density(2, 9, min_eig_floor=0.1)
     prod = DensityMatrix(np.kron(a.entries, b.entries), (2, 2))
-    expected = von_neumann_entropy(a).nats
+    expected = von_neumann_entropy(a)
     assert abs(_conditional_entropy(prod) - expected) < 1e-10
 
     assert abs(_conditional_entropy(_bell()) + LN2) < 1e-9
@@ -170,11 +169,11 @@ def test_variational_value_examples():
     sig = random_density(2, 15, min_eig_floor=0.1)
     # G = Id gives -ln tr sigma = 0 for a density
     v = relative_entropy_variational_value(rho, sig, HermitianOperator(np.eye(2)))
-    assert abs(v.nats) < 1e-12
+    assert abs(v) < 1e-12
     # the closed-form maximizer attains the relative entropy
     g_opt = HermitianOperator(expm_herm(logm_psd(rho.entries) - logm_psd(sig.entries)))
-    d = relative_entropy(rho, sig).nats
-    assert abs(relative_entropy_variational_value(rho, sig, g_opt).nats - d) < 1e-8
+    d = relative_entropy(rho, sig)
+    assert abs(relative_entropy_variational_value(rho, sig, g_opt) - d) < 1e-8
     with pytest.raises(DomainError):
         relative_entropy_variational_value(rho, sig, HermitianOperator(np.diag([1.0, 0.0])))
 
@@ -185,8 +184,8 @@ def test_variational_value_dominated_sweep():
         rho = random_density(2, int(rng.integers(0, 2**31)), min_eig_floor=0.02)
         sig = random_density(2, int(rng.integers(0, 2**31)), min_eig_floor=0.02)
         g = random_psd(2, int(rng.integers(0, 2**31)), min_eig_floor=0.05)
-        d = relative_entropy(rho, sig).nats
-        v = relative_entropy_variational_value(rho, sig, g).nats
+        d = relative_entropy(rho, sig)
+        v = relative_entropy_variational_value(rho, sig, g)
         assert v <= d + 1e-9
 
 
@@ -198,10 +197,10 @@ def test_data_processing_small_sweep():
         kraus = random_channel_kraus(2, 2, 2, int(rng.integers(0, 2**31)))
         rho2 = DensityMatrix(apply_kraus(rho, kraus))
         sig2 = DensityMatrix(apply_kraus(sig, kraus))
-        assert relative_entropy(rho2, sig2).nats <= relative_entropy(rho, sig).nats + 1e-8
+        assert relative_entropy(rho2, sig2) <= relative_entropy(rho, sig) + 1e-8
         for alpha in (0.3, 0.5, 0.9):
-            before = renyi_relative_entropy(rho, sig, alpha).nats
-            after = renyi_relative_entropy(rho2, sig2, alpha).nats
+            before = renyi_relative_entropy(rho, sig, alpha)
+            after = renyi_relative_entropy(rho2, sig2, alpha)
             assert after <= before + 1e-8
 
 
@@ -221,4 +220,4 @@ def test_cq_copy_state_mutual_information_is_classical():
             for y in range(2)
             if joint[x, y] > 0
         )
-        assert abs(_mutual_information(state).nats - classical) < 1e-9
+        assert abs(_mutual_information(state) - classical) < 1e-9

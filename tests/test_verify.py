@@ -79,11 +79,11 @@ def _entropy_dp(i):
     rows = []
     for alpha in (1.0, 0.3, 0.5, 0.9):
         if alpha == 1.0:
-            before = en.relative_entropy(rho, sig).nats
-            after = en.relative_entropy(rho_out, sig_out).nats
+            before = en.relative_entropy(rho, sig)
+            after = en.relative_entropy(rho_out, sig_out)
         else:
-            before = en.renyi_relative_entropy(rho, sig, alpha).nats
-            after = en.renyi_relative_entropy(rho_out, sig_out, alpha).nats
+            before = en.renyi_relative_entropy(rho, sig, alpha)
+            after = en.renyi_relative_entropy(rho_out, sig_out, alpha)
         rows.append([i, SEED, alpha, before, after, before - after])
     return rows
 
@@ -92,13 +92,13 @@ def _entropy_var(i):
     rng = vf._rng_for(SEED, "entropy-var", i)
     rho = random_density(2, vf._child_seed(rng), min_eig_floor=0.05)
     sig = random_density(2, vf._child_seed(rng), min_eig_floor=0.05)
-    d = en.relative_entropy(rho, sig).nats
+    d = en.relative_entropy(rho, sig)
     g_rand = random_psd(2, vf._child_seed(rng), min_eig_floor=0.1)
-    v_rand = en.relative_entropy_variational_value(rho, sig, g_rand).nats
+    v_rand = en.relative_entropy_variational_value(rho, sig, g_rand)
     g_opt = HermitianOperator(
         la.expm_herm(la.logm_psd(rho.entries) - la.logm_psd(sig.entries))
     )
-    v_opt = en.relative_entropy_variational_value(rho, sig, g_opt).nats
+    v_opt = en.relative_entropy_variational_value(rho, sig, g_opt)
     return [
         [i, SEED, "dominance", d, v_rand, d - v_rand],
         [i, SEED, "equality", 1e-8, abs(d - v_opt), 1e-8 - abs(d - v_opt)],
@@ -109,8 +109,8 @@ def _renyi_limit(i):
     rng = vf._rng_for(SEED, "renyi-limit", i)
     rho = random_density(2, vf._child_seed(rng), min_eig_floor=0.1)
     sig = random_density(2, vf._child_seed(rng), min_eig_floor=0.1)
-    d = en.relative_entropy(rho, sig).nats
-    da = en.renyi_relative_entropy(rho, sig, 0.999).nats
+    d = en.relative_entropy(rho, sig)
+    da = en.renyi_relative_entropy(rho, sig, 0.999)
     return [[i, SEED, 0.999, 1e-3, abs(da - d), 1e-3 - abs(da - d)]]
 
 
@@ -248,3 +248,13 @@ def test_soundness_budget_of_one_runs_source_zero_only():
     source = result.columns.index("source")
     assert result.rows and {row[source] for row in result.rows} == {0}
     assert result.summary["instances"] == len(result.rows)
+
+
+@pytest.mark.parametrize("margins", [[math.nan, 0.5, 0.2], [0.5, math.nan, 0.2],
+                                     [0.5, 0.2, math.nan]], ids=["first", "middle", "last"])
+def test_finish_fails_a_suite_with_a_nan_margin(margins):
+    # min() alone skips a NaN that is not the first element
+    rows = [[i, m] for i, m in enumerate(margins)]
+    result = vf._finish("alt", ["instance_id", "margin"], rows, margins, 0.0)
+    assert not result.passed and result.summary["pass"] is False
+    assert math.isnan(result.summary["min_margin"])
