@@ -4,8 +4,9 @@ Two central objects:
 
 * ``delta`` maximizes  c D(sum_x gamma(x) rho_x || nu) - D(gamma || mu)  over
   distributions gamma absolutely continuous w.r.t. a (possibly unnormalized)
-  measure mu, by a multistart fixed-point iteration with a simplex-grid
-  cross-check on small alphabets.
+  measure mu, by a multistart fixed-point iteration whose starts run in
+  lock-step (stacks of ``stack_step``, the bits of a sequential run) with a
+  simplex-grid cross-check on small alphabets.
 * ``delta_star`` maximizes  c D(sigma_{Y|U} || nu | P_U) - D(P_{X|U} || q | P_U)
   over auxiliary channels P_{U|X} by multistart entropic mirror ascent.
 
@@ -199,23 +200,24 @@ class _DeltaWork:
         return la.scalar_or_array(self.c * d_out - d_in), (w, v)
 
     def fixed_point_step(self, eig):
+        """The next gamma of each row of a stacked eig, or None for a row whose
+        weights vanish.  Each row's traces are taken alone, since a stacked
+        einsum does not keep a single call's bits."""
         w, v = eig
         pos = w > SUPPORT_TOL
         log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
-        log_sigma = (v * log_w) @ v.conj().T
-        scores = self.c * (self.traces(log_sigma) - self.tr_lognu)
-        if not np.all(pos):
-            ker = v[:, ~pos]
-            proj = ker @ ker.conj().T
-            overlap = self.traces(proj)
-            scores = np.where(overlap > KERNEL_OVERLAP_TOL, -np.inf, scores)
+        traces = [self.traces(log_sigma) for log_sigma in la.from_spectrum(log_w, v)]
+        scores = self.c * (np.reshape(traces, (len(w), self.mu_s.size)) - self.tr_lognu)
+        for r in np.flatnonzero(~pos.all(axis=-1)):
+            ker = v[r][:, ~pos[r]]
+            overlap = self.traces(ker @ ker.conj().T)
+            scores[r] = np.where(overlap > KERNEL_OVERLAP_TOL, -np.inf, scores[r])
         logits = self.log_mu + scores
-        logits -= np.max(logits[np.isfinite(logits)])
-        weights = np.exp(np.where(np.isfinite(logits), logits, -np.inf))
-        total = weights.sum()
-        if total <= 0.0:
-            return None
-        return weights / total
+        finite = np.isfinite(logits)
+        top = np.max(logits, axis=-1, keepdims=True, where=finite, initial=-np.inf)
+        weights = np.exp(np.subtract(logits, top, out=np.full_like(logits, -np.inf), where=finite))
+        return [row / total if total > 0.0 else None
+                for row, total in zip(weights, weights.sum(axis=-1))]
 
 
 def _delta_starts(k: int, count: int):
@@ -236,7 +238,8 @@ def delta(inst: DeltaInstance, multistarts: int = 32, cross_check: bool = True) 
 
     Runs a multistart fixed-point iteration (the stationarity condition
     updates gamma(x) proportionally to mu(x) e^(c tr[rho_x ln T]) with
-    T = e^(ln sigma_gamma - ln nu)) and keeps the best iterate.  With
+    T = e^(ln sigma_gamma - ln nu)) and keeps the best iterate; the starts
+    run in lock-step, with the bits of one start at a time.  With
     ``cross_check``, a result on a support of size at most 3 is
     cross-checked against the exhaustive 1/64 simplex grid and must agree
     within 1e-3; the better of the two feasible values wins.
@@ -252,43 +255,52 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = Tr
     """(best value, best gamma on the support) for ``delta``: at most 500
     fixed-point steps per start, stopping when the value moves < 1e-10.
 
+    The starts advance in lock-step, in stacks of ``stack_step`` rows with
+    one stack's eigenvectors alive at a time; each keeps the bits and stops
+    of a run on its own, and the first start to reach the best value wins.
+
     When mu is constant on every type class of X^n (``work.types``), the
     problem is invariant under permutations of the sites: the states and
     nu^n are i.i.d., which ``_DeltaWork`` guarantees.  Two vertex starts in
     one type class then follow permuted trajectories to equal values, so
     only the first vertex of each class runs (Csiszar & Korner, ch. 2).  The
     Dirichlet starts are never dropped: no permutation maps one onto another.
-    The kept starts run in their usual order, so ties resolve as before.
     """
     k = work.support.size
-    best_val, best_gamma = -math.inf, None
     starts = _delta_starts(k, multistarts)
     if work.types is not None:
         # vertex i of the support is start i + 1
         vertices = min(k, max(0, multistarts - 1))
         keep = set(np.unique(work.types[:vertices], return_index=True)[1] + 1)
         starts = [s for i, s in enumerate(starts) if not 1 <= i <= vertices or i in keep]
-    for start in starts:
-        gamma = start
-        prev = -math.inf
-        start_best = -math.inf
-        stalled = 0
-        for _ in range(500):
-            val, eig = work.objective_and_eig(gamma)
-            if val > best_val:
-                best_val, best_gamma = val, gamma.copy()
-            if abs(val - prev) < 1e-10:
-                break
-            # a cycling iterate no longer improves its running best: cut it
-            stalled = stalled + 1 if val <= start_best + 1e-12 else 0
-            start_best = max(start_best, val)
-            if stalled >= 20:
-                break
-            prev = val
-            nxt = work.fixed_point_step(eig)
-            if nxt is None:
-                break
-            gamma = nxt
+    step = stack_step(work.sites.shape[-1] ** work.n)
+    count = len(starts)
+    gammas, live = list(starts), list(range(count))
+    prev, start_best, stalled = [-math.inf] * count, [-math.inf] * count, [0] * count
+    best = [(-math.inf, None)] * count
+    for _ in range(500):
+        moved = []
+        for lo in range(0, len(live), step):
+            chunk = live[lo:lo + step]
+            vals, (w, v) = work.objective_and_eig(np.stack([gammas[i] for i in chunk]))
+            cont = []
+            for row, (i, val) in enumerate(zip(chunk, vals.tolist())):
+                if val > best[i][0]:
+                    best[i] = (val, gammas[i])
+                if abs(val - prev[i]) < 1e-10:
+                    continue
+                # a cycling iterate no longer improves its running best: cut it
+                stalled[i] = stalled[i] + 1 if val <= start_best[i] + 1e-12 else 0
+                start_best[i] = max(start_best[i], val)
+                if stalled[i] < 20:
+                    prev[i] = val
+                    cont.append(row)
+            for row, nxt in zip(cont, work.fixed_point_step((w[cont], v[cont]))):
+                if nxt is not None:
+                    gammas[chunk[row]] = nxt
+                    moved.append(chunk[row])
+        live = moved
+    best_val, best_gamma = max(best, key=lambda b: b[0])
     if cross_check and k <= 3:
         grid_val, grid_gamma = _delta_grid(work, k)
         if abs(grid_val - best_val) > 1e-3 and grid_val > best_val:
@@ -496,20 +508,25 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     messages.  The result carries the maximizing channel, its output
     marginal P_U and its (I(U;Y), I(U;X)) against the average output state;
     when nu equals that state the value also equals c I(U;Y) - I(U;X), and
-    both forms must agree within 1e-9.
+    both forms must agree within max(1e-9, 1e-13 |c I(U;Y)|), which is 1e-9
+    up to |c I(U;Y)| = 1e4.  A c that overflows the mirror step is rejected.
     """
     q = _validate_distribution(q, states)
     states = tuple(states)
     work = _ChannelWork(q, q, states, nu, c)
-    value, kernel = _ascend_channel(work, u_size, multistarts, max_iter)
+    with np.errstate(over="raise"):
+        try:
+            value, kernel = _ascend_channel(work, u_size, multistarts, max_iter)
+        except FloatingPointError:
+            raise DomainError(f"c = {c!r} overflows the mirror-ascent step") from None
     rho_avg = np.einsum("x,xjk->jk", q, work.stack)
     i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
     if np.max(np.abs(_as_array(nu) - rho_avg)) <= 1e-12:
-        alt = c * i_uy - i_ux
-        if abs(alt - value) > 1e-9:
+        alt, tol = float(c * i_uy - i_ux), max(1e-9, 1e-13 * abs(float(c * i_uy)))
+        if abs(alt - value) > tol:
             raise ValidationError(
                 f"conditional-divergence form {value!r} and mutual-information "
-                f"form {alt!r} disagree beyond 1e-9"
+                f"form {alt!r} disagree beyond {tol!r}"
             )
     return DeltaStarResult(value, kernel, (q[:, None] * kernel).sum(axis=0), (i_uy, i_ux))
 

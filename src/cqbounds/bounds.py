@@ -112,6 +112,8 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
         raise DomainError("only the uncompressed-side regime (r2 = infinity) is supported")
     if n < 1:
         raise DomainError("n must be a positive integer")
+    if r1 < 0.0:
+        raise DomainError(f"rate must be nonnegative; got {r1!r}")
     src1_states = tuple(src1_states)
     if len(src1_states) != src0.size:
         raise DimensionMismatchError("alternative family must match the alphabet")

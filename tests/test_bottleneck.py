@@ -29,7 +29,7 @@ from cqbounds import bottleneck as bn
 from cqbounds import hyptest as ht
 from cqbounds._linalg import expm_herm, logm_psd
 from cqbounds.bottleneck import _ChannelWork, _DeltaWork
-from cqbounds.config import STACK_BYTES
+from cqbounds.config import KERNEL_OVERLAP_TOL, STACK_BYTES, SUPPORT_TOL
 from cqbounds.model_io import load_model
 
 LN2 = math.log(2.0)
@@ -393,19 +393,25 @@ def test_type_class_reduction_keeps_single_letter_gap_bits(monkeypatch, n):
 
 def _started(monkeypatch, mu, n):
     """Number of starts _solve_delta runs on mu at blocklength n: each start
-    stops after its first evaluation."""
-    starts, calls = [], []
+    stops after its first evaluation, so each is one stacked row."""
+    starts, rows = [], []
     draw = bn._delta_starts
     states = [random_density(2, s, min_eig_floor=0.05) for s in (1, 2)]
     work = _DeltaWork(mu, states, random_density(2, 3, min_eig_floor=0.1), 1.5, n)
+
+    def first_evaluation(self, gammas):
+        rows.extend(gammas)
+        g = len(gammas)
+        return np.zeros(g), (np.zeros((g, 1)), np.zeros((g, 1, 1)))
+
     with monkeypatch.context() as m:
         m.setattr(bn, "_delta_starts", lambda k, count: starts.extend(draw(k, count)) or starts)
-        m.setattr(_DeltaWork, "objective_and_eig",
-                  lambda self, gamma: (calls.append(gamma) or 0.0, None))
-        m.setattr(_DeltaWork, "fixed_point_step", lambda self, eig: None)
+        m.setattr(_DeltaWork, "objective_and_eig", first_evaluation)
+        m.setattr(_DeltaWork, "fixed_point_step", lambda self, eig: [None] * len(eig[0]))
         bn._solve_delta(work, 32, cross_check=False)
-    assert len(starts) == 32 and all(any(g is s for s in starts) for g in calls)
-    return len(calls)
+    assert len(starts) == 32
+    assert all(any(np.array_equal(g, s) for s in starts) for g in rows)
+    return len(rows)
 
 
 def _typical_mu(n):
@@ -438,6 +444,116 @@ def test_type_class_reduction_runs_one_vertex_per_class_only_on_class_constant_m
     assert _started(monkeypatch, mu5, 5) == 1 + len(classes5) + 1
     # at n = 1 every type class is one symbol, so every start runs
     assert _started(monkeypatch, np.full(2, 0.5), 1) == 32
+
+
+def _sequential_step(work, w, v):
+    """The fixed-point step of one start, as a run of one start at a time
+    takes it: its own log, traces and kernel overlaps."""
+    pos = w > SUPPORT_TOL
+    log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
+    scores = work.c * (work.traces((v * log_w) @ v.conj().T) - work.tr_lognu)
+    if not np.all(pos):
+        ker = v[:, ~pos]
+        overlap = work.traces(ker @ ker.conj().T)
+        scores = np.where(overlap > KERNEL_OVERLAP_TOL, -np.inf, scores)
+    logits = work.log_mu + scores
+    logits -= np.max(logits[np.isfinite(logits)])
+    weights = np.exp(np.where(np.isfinite(logits), logits, -np.inf))
+    total = weights.sum()
+    return weights / total if total > 0.0 else None
+
+
+def _sequential_solve(work, multistarts, step=_sequential_step):
+    """_solve_delta without the grid cross-check, one start after another:
+    the reference for the lock-step loop."""
+    k = work.support.size
+    starts = bn._delta_starts(k, multistarts)
+    if work.types is not None:
+        vertices = min(k, max(0, multistarts - 1))
+        keep = set(np.unique(work.types[:vertices], return_index=True)[1] + 1)
+        starts = [s for i, s in enumerate(starts) if not 1 <= i <= vertices or i in keep]
+    best_val, best_gamma = -math.inf, None
+    for gamma in starts:
+        prev, start_best, stalled = -math.inf, -math.inf, 0
+        for _ in range(500):
+            val, (w, v) = work.objective_and_eig(gamma)
+            if val > best_val:
+                best_val, best_gamma = val, gamma.copy()
+            if abs(val - prev) < 1e-10:
+                break
+            stalled = stalled + 1 if val <= start_best + 1e-12 else 0
+            start_best = max(start_best, val)
+            if stalled >= 20:
+                break
+            prev = val
+            gamma = step(work, w, v)
+            if gamma is None:
+                break
+    return best_val, best_gamma
+
+
+def _assert_same_bits(work, multistarts=32):
+    got = bn._solve_delta(work, multistarts, cross_check=False)
+    want = _sequential_solve(work, multistarts)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lock_step_delta_keeps_the_bits_of_one_start_at_a_time(n):
+    rng = np.random.default_rng(60 + n)
+    states = _random_states(rng, 2, 2)
+    nu = DensityMatrix(0.5 * (states[0].entries + states[1].entries))
+    # class-constant mu (the type-class filter drops vertex starts) and a
+    # Dirichlet mu; at c = 100 several starts reach the best value, so the
+    # first of them must win
+    for mu in (np.full(2**n, 0.9 / 2**n), rng.dirichlet(np.ones(2**n)) * 0.9):
+        for c in (1.2, 4.0, 100.0):
+            _assert_same_bits(_DeltaWork(mu, states, nu, c, n))
+
+
+def test_lock_step_delta_keeps_the_bits_on_a_rank_deficient_pair(monkeypatch):
+    # orthogonal pure states: a vertex start's mixture has a kernel, so its
+    # step takes the kernel-overlap branch
+    states = [DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0]))]
+    nu = DensityMatrix(np.eye(2) / 2)
+    for n in (1, 2):
+        work = _DeltaWork(np.full(2**n, 0.5**n), states, nu, 2.0, n)
+        vertex = np.eye(2**n)[0]
+        assert np.linalg.eigvalsh(work.mix(vertex))[0] <= SUPPORT_TOL
+        _assert_same_bits(work)
+    # weights that vanish stop a start.  They vanish only when every support
+    # symbol overlaps the kernel, which takes a kernel of over 1000
+    # dimensions, so the step of a mixture with a kernel is made to return
+    # None on both sides
+    real = _DeltaWork.fixed_point_step
+    stops = []
+
+    def stop_on_kernel(self, eig):
+        out = [None if w[0] <= SUPPORT_TOL else s for w, s in zip(eig[0], real(self, eig))]
+        stops.append(sum(s is None for s in out))
+        return out
+
+    monkeypatch.setattr(_DeltaWork, "fixed_point_step", stop_on_kernel)
+    work = _DeltaWork(np.full(4, 0.25), states, nu, 2.0, 2)
+    got = bn._solve_delta(work, 32, cross_check=False)
+    want = _sequential_solve(work, 32, lambda wk, w, v: None if w[0] <= SUPPORT_TOL
+                             else _sequential_step(wk, w, v))
+    assert sum(stops) > 0
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def test_lock_step_delta_stacks_at_most_stack_step_rows(monkeypatch):
+    rng = np.random.default_rng(66)
+    states = _random_states(rng, 2, 2)
+    nu = DensityMatrix(0.5 * (states[0].entries + states[1].entries))
+    rows, evaluate = [], _DeltaWork.objective_and_eig
+    monkeypatch.setattr(_DeltaWork, "objective_and_eig",
+                        lambda self, gamma: rows.append(len(gamma)) or evaluate(self, gamma))
+    for n, step in ((4, 16), (5, 4), (6, 1)):
+        assert ht.stack_step(2**n) == step
+        rows.clear()
+        bn._solve_delta(_DeltaWork(rng.dirichlet(np.ones(2**n)), states, nu, 1.5, n), 32, False)
+        assert max(rows) == step
 
 
 def test_single_letter_gap_guards():

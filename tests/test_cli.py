@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,30 @@ def test_cli_rate_beyond_float_range_hits_encoder_cap(model_path, tmp_path, caps
     assert code == 4
     assert "exceed the enumeration cap" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_delta_star_at_large_c(tmp_path, capsys):
+    # at c = 1e9 the two forms of the value differ by rounding (3e-16
+    # relative); at c = 1e308 the mirror step overflows
+    out = tmp_path / "r.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["delta-star", "--c", "1e9", "--model", EXAMPLE_MODEL, "--out", str(out)]) == 0
+        assert main(["delta-star", "--c", "1e308", "--model", EXAMPLE_MODEL,
+                     "--out", str(tmp_path / "huge.txt")]) == 2
+    assert not caught
+    assert math.isfinite(float(re.search(r"delta_star = (\S+)", _read(out)).group(1)))
+    assert capsys.readouterr().err == "error: c = 1e+308 overflows the mirror-ascent step\n"
+    assert not (tmp_path / "huge.txt").exists()
+
+
+def test_cli_theta_rejects_a_negative_rate(model_path, tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    assert main(["theta", "--n", "2", "--r1", "-1", "--model", model_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: rate must be nonnegative; got -1.0\n"
+    assert not out.exists()
+    # r1 = 0 is one message, |W| = 1
+    assert main(["theta", "--n", "2", "--r1", "0", "--model", model_path, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
