@@ -6,17 +6,19 @@ Everything computes in nats; the CLI converts to bits on request.
 
 import ctypes as _ctypes
 import glob as _glob
+import importlib.util as _importlib_util
 import os as _os
 
 # small dense problems: pin BLAS to one thread, whatever the environment says,
 # so results do not depend on the ambient thread configuration.  OpenBLAS reads
 # the variables once, when it loads, so the OpenBLAS copies bundled with numpy
-# and scipy are also set at run time, in case numpy was imported first
+# and scipy (found, not imported) are also set at run time, in case numpy was
+# imported first
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     _os.environ[_var] = "1"
 for _pkg in ("numpy", "scipy"):
-    _libs = _os.path.join(_os.path.dirname(__import__(_pkg).__path__[0]), _pkg + ".libs")
-    for _path in _glob.glob(_os.path.join(_libs, "libscipy_openblas*.so")):
+    _site = _os.path.dirname(_importlib_util.find_spec(_pkg).submodule_search_locations[0])
+    for _path in _glob.glob(_os.path.join(_site, _pkg + ".libs", "libscipy_openblas*.so")):
         for _setter in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
             getattr(_ctypes.CDLL(_path), _setter, lambda _n: None)(1)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _linalg as la
 from .config import KERNEL_OVERLAP_TOL, STACK_BYTES, SUPPORT_TOL, TYPICAL_ENUM_CAP
@@ -276,7 +275,7 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = Tr
     step = stack_step(work.sites.shape[-1] ** work.n)
     count = len(starts)
     gammas, live = list(starts), list(range(count))
-    prev, start_best, stalled = [-math.inf] * count, [-math.inf] * count, [0] * count
+    prev = [-math.inf] * count
     best = [(-math.inf, None)] * count
     for _ in range(500):
         moved = []
@@ -289,12 +288,8 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = Tr
                     best[i] = (val, gammas[i])
                 if abs(val - prev[i]) < 1e-10:
                     continue
-                # a cycling iterate no longer improves its running best: cut it
-                stalled[i] = stalled[i] + 1 if val <= start_best[i] + 1e-12 else 0
-                start_best[i] = max(start_best[i], val)
-                if stalled[i] < 20:
-                    prev[i] = val
-                    cont.append(row)
+                prev[i] = val
+                cont.append(row)
             for row, nxt in zip(cont, work.fixed_point_step((w[cont], v[cont]))):
                 if nxt is not None:
                     gammas[chunk[row]] = nxt
@@ -355,10 +350,19 @@ def delta_variational_value(inst: DeltaInstance, t_op) -> float:
     work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
     log_t = la.logm_psd(t_arr)
     scores = work.c * work.traces(log_t)
-    term1 = float(logsumexp(work.log_mu + scores))
+    term1 = _logsumexp(work.log_mu + scores)
     mix = work.log_nu + log_t
     term2 = work.c * math.log(la.trace_real(la.expm_herm(mix)))
     return term1 - term2
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum e^a, with the bits of ``scipy.special.logsumexp`` (scipy 1.17)."""
+    top = np.max(a)
+    at_top = a == top
+    ties = np.count_nonzero(at_top)
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top)) / ties
+    return float(np.log1p(rest) + np.log(ties) + top)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _linalg as la
 from .config import (
@@ -117,8 +116,10 @@ class CQSource:
 
     def joint_state(self) -> DensityMatrix:
         """Block-diagonal joint state sum_x Q(x)|x><x| o rho_x."""
-        blocks = self.q_x[:, None, None] * stack_entries(self.states)
-        return DensityMatrix(scipy.linalg.block_diag(*blocks), (self.size, self.d_y))
+        k, d = self.size, self.d_y
+        out = np.zeros((k, d, k, d), dtype=complex)
+        out[range(k), :, range(k)] = self.q_x[:, None, None] * stack_entries(self.states)
+        return DensityMatrix(out.reshape(k * d, k * d), (k, d))
 
     def independence_alternative(self) -> DensityMatrix:
         """Product of marginals, diag(Q) o rho_avg, on the same layout."""
@@ -181,6 +182,7 @@ def _pencil_thresholds(r0: np.ndarray, r1: np.ndarray, kernel: np.ndarray) -> li
         inv = np.linalg.inv(np.linalg.cholesky(r1[full]))
         vals[full] = np.linalg.eigvalsh(inv @ r0[full] @ la.dagger(inv)).reshape(-1, vals.shape[1])
     for k in np.flatnonzero(kernel).tolist():
+        import scipy.linalg  # the package's one use of scipy, loaded on first need
         z = np.concatenate([scipy.linalg.eig(a, b, right=False) for a, b in zip(r0[k], r1[k])])
         real = np.isfinite(z) & (np.abs(z.imag) <= 1e-8 * (1.0 + np.abs(z.real)))
         vals[k] = np.where(real, z.real, -np.inf)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from cqbounds import (
     DensityMatrix,
@@ -166,6 +167,35 @@ def test_delta_variational_examples():
         assert delta_variational_value(inst, t_rand) <= res.value + 1e-8
     with pytest.raises(DomainError):
         delta_variational_value(inst, HermitianOperator(np.diag([1.0, 0.0])))
+
+
+def _variational_with_scipy(inst, t_op):
+    # delta_variational_value's formula with scipy's logsumexp
+    work = _DeltaWork(inst.mu, inst.states, inst.nu, inst.c)
+    log_t = logm_psd(t_op.entries)
+    term1 = float(scipy.special.logsumexp(work.log_mu + work.c * work.traces(log_t)))
+    return term1 - work.c * math.log(float(np.trace(expm_herm(work.log_nu + log_t)).real))
+
+
+def test_delta_variational_logsumexp_keeps_scipys_bits():
+    rng = np.random.default_rng(43)
+    cases = []
+    for k, d in ((1, 2), (2, 2), (3, 2), (4, 3), (6, 2)):
+        mu = rng.dirichlet(np.ones(k)) * 0.8
+        cases.append((DeltaInstance(mu, _random_states(rng, k, d), random_psd(d, 7 + k), 1.7),
+                      random_psd(d, 90 + k, min_eig_floor=0.1)))
+    # uniform mu on equal states: the logits tie at the maximum
+    s = random_density(2, 84, min_eig_floor=0.05)
+    other = random_density(2, 85, min_eig_floor=0.05)
+    for states in ([s, s], [s, s, other], [s, s, s]):
+        inst = DeltaInstance(np.full(len(states), 0.25), states, random_psd(2, 9), 2.5)
+        cases += [(inst, HermitianOperator(np.eye(2))), (inst, random_psd(2, 91, min_eig_floor=0.1))]
+    for inst, t_op in cases:
+        assert delta_variational_value(inst, t_op) == _variational_with_scipy(inst, t_op)
+    # the kernel alone, on logits with ties, zeros and a wide range
+    for _ in range(2000):
+        a = np.round(rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), rng.integers(1, 9)), 1)
+        assert bn._logsumexp(a) == float(scipy.special.logsumexp(a))
 
 
 def _kernel_grid_oracle(q, states, nu, c, resolution=64):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -341,6 +344,29 @@ def test_cli_unwritable_out_exits_2_without_traceback(model_path, tmp_path, caps
 
 
 EXAMPLE_MODEL = str(Path(__file__).resolve().parents[1] / "model.example.json")
+
+
+def test_cli_commands_load_no_scipy_linalg_or_special(tmp_path):
+    # a fresh process: this one has imported scipy.linalg already.  The
+    # commands below meet no rank-deficient Neyman-Pearson block, so scipy's
+    # linalg and special trees (most of a cold start) must stay unloaded
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(vf.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    commands = [["entropy"], ["beta", "--n", "4", "--eps", "0.3"], ["delta", "--c", "1.5"]]
+    code = (
+        "import sys\n"
+        "from cqbounds import cli\n"
+        f"for i, argv in enumerate({commands!r}):\n"
+        f"    out = {str(tmp_path)!r} + f'/r{{i}}.txt'\n"
+        f"    assert cli.main(argv + ['--model', {EXAMPLE_MODEL!r}, '--out', out]) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r0.txt", "r1.txt", "r2.txt"]
 
 
 @pytest.mark.parametrize("argv, want", [

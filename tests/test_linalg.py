@@ -203,3 +203,39 @@ def test_blas_pin_holds_when_numpy_is_imported_first():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "-0.007563974269167944"
+
+
+# a Neyman-Pearson solve whose alternative has a kernel: the only path that
+# loads scipy (``scipy.linalg.eig`` on the singular pencils)
+_SINGULAR_ALTERNATIVE_BETA = """
+import numpy as np
+from cqbounds import DensityMatrix, neyman_pearson_beta, random_density
+w, v = np.linalg.eigh(random_density(3, 203, min_eig_floor=0.02).entries)
+w[0] = 0.0
+rho1 = DensityMatrix((v * (w / w.sum())) @ v.conj().T)
+beta = neyman_pearson_beta(random_density(3, 103, min_eig_floor=0.02), rho1, 0.3)[0]
+"""
+
+
+def test_blas_pin_holds_for_scipy_loaded_after_cqbounds():
+    """scipy's bundled OpenBLAS, set to one thread when cqbounds is imported
+    under OPENBLAS_NUM_THREADS=4, still runs one thread after the
+    rank-deficient solve imports scipy.linalg, and gives this process's bits."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cqbounds.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    code = ("import ctypes, glob, os, sys\n"
+            "import cqbounds\n"
+            "assert 'scipy' not in sys.modules\n"
+            + _SINGULAR_ALTERNATIVE_BETA +
+            "import scipy\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "libs = os.path.join(os.path.dirname(scipy.__path__[0]), 'scipy.libs')\n"
+            "(lib,) = glob.glob(os.path.join(libs, 'libscipy_openblas*.so'))\n"
+            "print(ctypes.CDLL(lib).scipy_openblas_get_num_threads(), repr(beta))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=pythonpath)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scope = {}
+    exec(_SINGULAR_ALTERNATIVE_BETA, scope)
+    assert proc.stdout.split() == ["1", repr(scope["beta"])]
