@@ -8,7 +8,9 @@ Two central objects:
   lock-step (stacks of ``stack_step``, the bits of a sequential run) with a
   simplex-grid cross-check on small alphabets.
 * ``delta_star`` maximizes  c D(sigma_{Y|U} || nu | P_U) - D(P_{X|U} || q | P_U)
-  over auxiliary channels P_{U|X} by multistart entropic mirror ascent.
+  over auxiliary channels P_{U|X}: for a binary X from the exact upper
+  concave envelope of a function of one variable, for |X| >= 3 by
+  multistart entropic mirror ascent.
 
 Also here: the variational form of ``delta``, the mixed-input functional used
 by the continuity bound, dominated typical sets, and the single-letter gap
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import _linalg as la
 from .config import KERNEL_OVERLAP_TOL, STACK_BYTES, SUPPORT_TOL, TYPICAL_ENUM_CAP
+from .entropy import relative_entropy
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -447,12 +450,6 @@ def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int, max_iter:
     trial step, so every start follows the trajectory it would follow alone.
     Ties go to the first start that reaches the best value.
     """
-    if u_size < 1:
-        raise DomainError("u_size must be at least 1")
-    if multistarts < 1:
-        raise DomainError(f"multistarts must be at least 1; got {multistarts!r}")
-    if not 0.0 < work.c < math.inf:
-        raise DomainError(f"c must be positive and finite; got {work.c!r}")
     kernels = np.stack(_channel_starts(work.measure.shape[0], u_size, multistarts))
     values, grads = work.evaluate(kernels)
     best_vals, best_kernels = values.copy(), kernels.copy()
@@ -495,6 +492,60 @@ def _ascend_channel(work: _ChannelWork, u_size: int, multistarts: int, max_iter:
     return float(best_vals[best]), best_kernels[best]
 
 
+def _binary_envelope(work: _ChannelWork, u_size: int):
+    """(value, kernel) of the best channel for a binary input: the upper concave
+    envelope of f(t) = c D(t rho_0 + (1-t) rho_1 || nu) - D((t, 1-t) || reference)
+    at t = p = measure(0), t being P(X=0 | U=u) (Witsenhausen & Wyner 1975;
+    Nair 2013).  A chord through t1 <= p <= t2 reaches it: the best over a
+    129-point grid, then zoomed with 17 points around each end, the spacing
+    shrinking 8x per level to below 1e-13.  The value is the objective at
+    that channel or at one message, the better: it is achievable."""
+    p = float(work.measure[0])
+    def best_chord(t):
+        g = np.stack([t, 1.0 - t], axis=1)  # the posteriors P(X | U=u)
+        w = np.linalg.eigvalsh(np.einsum("gx,xjk->gjk", g, work.stack))
+        # every positive eigenvalue counts: the zoom would exploit a SUPPORT_TOL cut
+        f = (work.c * (np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1) - g @ work.tr_lognu)
+             - np.sum(g * np.log(np.where(g > 0.0, g, 1.0) / work.reference), axis=1))
+        # tl = p gives f(p) itself, one message; th > p keeps th - tl > 0
+        tl, fl, th, fh = t[t <= p, None], f[t <= p, None], t[t > p], f[t > p]
+        chords = (fl * (th - p) + fh * (p - tl)) / (th - tl)
+        i, j = np.unravel_index(np.argmax(chords), chords.shape)
+        return tl[i, 0], th[j]
+
+    t1, t2 = best_chord(np.append(np.linspace(0.0, 1.0, 129), p))
+    for h in 8.0 ** -np.arange(12) / 1024:  # spacings 1/1024 down to 1.4e-13
+        zoom = h * np.arange(-8, 9)
+        t1, t2 = best_chord(np.concatenate([np.clip(t1 + zoom, 0.0, p), np.clip(t2 + zoom, p, 1.0), [p]]))
+    lam = (t2 - p) / (t2 - t1)  # P(U = 0)
+    joint = np.array([[t1, t2], [1.0 - t1, 1.0 - t2]]) * [lam, 1.0 - lam]
+    # one message first: it wins the ties of a chord near p where f is concave
+    kernels = np.zeros((2, 2, u_size))
+    kernels[0, :, 0], kernels[1, :, :2] = 1.0, joint / joint.sum(axis=1, keepdims=True)
+    values = work.evaluate(kernels)[0]
+    return float(values.max()), kernels[np.argmax(values)]
+
+
+def _best_channel(work: _ChannelWork, u_size: int, multistarts: int, max_iter: int):
+    """(value, kernel) of the channel functional: the exact envelope for a binary
+    input and two or more messages, else the ascent.  Both reject a c at which
+    4c (the ascent's largest step) overflows: one domain of c for every |X|."""
+    if u_size < 1:
+        raise DomainError("u_size must be at least 1")
+    if multistarts < 1:
+        raise DomainError(f"multistarts must be at least 1; got {multistarts!r}")
+    if not 0.0 < work.c < math.inf:
+        raise DomainError(f"c must be positive and finite; got {work.c!r}")
+    with np.errstate(over="raise"):
+        try:
+            np.multiply(4.0, work.c)  # raises where 4c overflows
+            if work.measure.shape[0] == 2 and u_size >= 2:
+                return _binary_envelope(work, u_size)
+            return _ascend_channel(work, u_size, multistarts, max_iter)
+        except FloatingPointError:
+            raise DomainError(f"c = {work.c!r} overflows the mirror-ascent step") from None
+
+
 def _validate_distribution(q, states):
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.shape[0] != len(states):
@@ -514,15 +565,16 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     when nu equals that state the value also equals c I(U;Y) - I(U;X), and
     both forms must agree within max(1e-9, 1e-13 |c I(U;Y)|), which is 1e-9
     up to |c I(U;Y)| = 1e4.  A c that overflows the mirror step is rejected.
+
+    The value is the objective at a real channel, so any error puts it below
+    the supremum.  For |X| = 2 and ``u_size`` >= 2 that channel is the concave
+    envelope's (within about 1e-13 of the optimum); otherwise the best of
+    ``multistarts`` ascents of at most ``max_iter`` steps, which may fall short.
     """
     q = _validate_distribution(q, states)
     states = tuple(states)
     work = _ChannelWork(q, q, states, nu, c)
-    with np.errstate(over="raise"):
-        try:
-            value, kernel = _ascend_channel(work, u_size, multistarts, max_iter)
-        except FloatingPointError:
-            raise DomainError(f"c = {c!r} overflows the mirror-ascent step") from None
+    value, kernel = _best_channel(work, u_size, multistarts, max_iter)
     rho_avg = np.einsum("x,xjk->jk", q, work.stack)
     i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
     if np.max(np.abs(_as_array(nu) - rho_avg)) <= 1e-12:
@@ -557,14 +609,14 @@ def chain_informations(q, stack, rho_avg, kernel):
 def phi(p_tilde, q, states, rho_y, c: float, u_size: int, multistarts: int = 64) -> float:
     """Mixed-input channel functional: joints weighted by ``p_tilde`` while the
     posterior penalty references ``q``.  At p_tilde = q this coincides with
-    ``delta_star`` evaluated at nu = rho_y.
+    ``delta_star`` evaluated at nu = rho_y, and is solved the same way.
     """
     p_tilde = _validate_distribution(p_tilde, states)
     q = np.asarray(q, dtype=float)
     if q.shape != p_tilde.shape or np.any(q <= 0.0):
         raise ValidationError("q must be a full-support distribution matching p_tilde")
     work = _ChannelWork(p_tilde, q, tuple(states), rho_y, c)
-    value, _ = _ascend_channel(work, u_size, multistarts, 2000)
+    value, _ = _best_channel(work, u_size, multistarts, 2000)
     return value
 
 
@@ -651,6 +703,9 @@ def single_letter_gap(q, states, nu, c: float, n: int, delta: float, u_size: int
 
     The typical-set measure is constant on type classes, so the Delta
     multistart runs one vertex start per class (see ``_solve_delta``).
+    ``lhs``, the multistart delta(mu_n), is a lower estimate; ``certified_lhs``
+    = ln sum_x^n mu_n(x^n) e^(c sum_i D(rho_x_i || nu)) bounds it from above
+    (D is convex in its first argument; the Gibbs variational principle).
     """
     q = np.asarray(q, dtype=float)
     states = tuple(states)
@@ -664,6 +719,9 @@ def single_letter_gap(q, states, nu, c: float, n: int, delta: float, u_size: int
     mu_n = np.zeros(k**n)
     mu_n[np.ravel_multi_index(np.asarray(ts.members).T, (k,) * n)] = ts.mu_n
     lhs, _ = _solve_delta(_DeltaWork(mu_n, states, nu, c, n), multistarts)
+    # D(rho_x^n || nu^n) = sum_i D(rho_x_i || nu): no n-letter matrix
+    d_x = relative_entropy(stack_entries(states), np.stack([_as_array(nu)] * k))
+    certified = _logsumexp(np.log(ts.mu_n) + c * d_x[np.asarray(ts.members)].sum(axis=1))
     star = delta_star(q, states, nu, c, u_size, multistarts=star_multistarts).value
     penalty = (c + 1.0) * math.log(eta) * math.sqrt(3.0 * n * eta * math.log(k / delta))
     report = BoundReport(
@@ -678,6 +736,7 @@ def single_letter_gap(q, states, nu, c: float, n: int, delta: float, u_size: int
             "delta": delta,
             "typical_mass": ts.mass,
             "lhs": lhs,
+            "certified_lhs": certified,
             "margin": n * star + penalty - lhs,
         },
     )

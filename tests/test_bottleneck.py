@@ -595,9 +595,11 @@ def test_single_letter_gap_guards():
         single_letter_gap(np.array([0.5, 0.5]), states3[:2], states3[0], 1.5, 4, 0.9, 3)
 
 
-# delta_star and phi values recorded before the multistarts were batched;
-# every start must still follow its own trajectory.  Entries below 1e-13 are
-# rounding zeros (one message, or a uniform start, carries no information).
+# values of the multistart mirror ascent recorded before its starts were
+# batched; every start must still follow its own trajectory.  Entries below
+# 1e-13 are rounding zeros (one message, or a uniform start, carries no
+# information).  delta_star and phi take binary sources from the concave
+# envelope, so the tables pin the ascent itself, the path of |X| >= 3.
 _PINNED_DELTA_STAR = {
     # (source, c, u_size, multistarts): (default max_iter, max_iter=3)
     ("example", 1.0, 1, 1): (1.1102230246251565e-16, 1.1102230246251565e-16),
@@ -664,16 +666,76 @@ def test_delta_star_matches_pinned_values(name):
     for (src, c, u_size, starts), wants in _PINNED_DELTA_STAR.items():
         if src != name:
             continue
+        work = _ChannelWork(q, q, states, avg, c)
         # max_iter=3 stops some starts on the iteration cap while others are
         # still inside their line search
         for max_iter, want in zip((2000, 3), wants):
-            got = delta_star(q, states, avg, c, u_size, multistarts=starts,
-                             max_iter=max_iter).value
+            got = bn._ascend_channel(work, u_size, starts, max_iter)[0]
             assert _agrees(got, want), (c, u_size, starts, max_iter, got, want)
+        if starts == 16:
+            assert delta_star(q, states, avg, c, u_size).value >= wants[0] - 1e-12
     p_tilde = np.array([0.42, 0.58])
     for c in (2.5, 16.0):
-        got = phi(p_tilde, q, states, avg, c, 3, multistarts=16)
+        got = bn._ascend_channel(_ChannelWork(p_tilde, q, states, avg, c), 3, 16, 2000)[0]
         assert _agrees(got, _PINNED_PHI[name, c]), (c, got)
+        assert phi(p_tilde, q, states, avg, c, 3) >= _PINNED_PHI[name, c] - 1e-12
+
+
+def _random_binary_source(rng):
+    """(q, states, average output, a random full-rank reference) with
+    q(0) in [0.05, 0.95], output dimension 2 or 3 and eigenvalue floor 0, 0.02
+    or 0.05."""
+    d = int(rng.integers(2, 4))
+    floor = float(rng.choice([0.0, 0.02, 0.05]))
+    states = _random_states(rng, 2, d, floor)
+    q0 = float(rng.uniform(0.05, 0.95))
+    q = np.array([q0, 1.0 - q0])
+    avg = DensityMatrix(q0 * states[0].entries + (1.0 - q0) * states[1].entries)
+    nu = random_density(d, int(rng.integers(0, 2**31)), min_eig_floor=0.05)
+    return q, states, avg, nu
+
+
+def test_binary_envelope_never_below_the_ascent():
+    # the envelope is exact up to its 1e-13 zoom and a 64-start ascent is a
+    # lower estimate, so the envelope must never fall below it.  The 100
+    # sources take turns: delta_star or phi, against the average output or
+    # a random full-rank reference
+    rng = np.random.default_rng(1905)
+    for i in range(100):
+        q, states, avg, nu = _random_binary_source(rng)
+        ref = avg if i % 2 else nu
+        p_tilde = np.clip(q * rng.uniform(0.8, 1.2, 2), 0.01, None)
+        p_tilde /= p_tilde.sum()
+        for c in (1.0, 1.5, 3.0, 7.0, 20.0, 100.0):
+            if i % 4 < 2:
+                envelope = delta_star(q, states, ref, c, 3).value
+                work = _ChannelWork(q, q, states, ref, c)
+            else:
+                envelope = phi(p_tilde, q, states, ref, c, 3)
+                work = _ChannelWork(p_tilde, q, states, ref, c)
+            ascent = bn._ascend_channel(work, 3, 64, 2000)[0]
+            assert envelope >= ascent - 1e-12, (i, c, envelope, ascent)
+
+
+def test_binary_envelope_does_not_depend_on_u_size():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        q, states, avg, nu = _random_binary_source(rng)
+        for c in (1.5, 7.0):
+            for ref in (avg, nu):
+                two, three, four = (delta_star(q, states, ref, c, u) for u in (2, 3, 4))
+                assert two.value == three.value == four.value
+                assert np.array_equal(four.kernel, np.pad(two.kernel, [(0, 0), (0, 2)]))
+
+
+def test_binary_envelope_on_orthogonal_pure_states():
+    e0 = DensityMatrix(np.diag([1.0, 0.0]))
+    e1 = DensityMatrix(np.diag([0.0, 1.0]))
+    mixed = DensityMatrix(np.eye(2) / 2)
+    res = delta_star([0.5, 0.5], [e0, e1], mixed, 2.0, 2)
+    assert abs(res.value - LN2) < 1e-12
+    # one message per input, U = 0 carrying X = 1
+    np.testing.assert_array_equal(res.kernel, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_channel_functionals_reject_bad_arguments():
