@@ -105,21 +105,25 @@ def expm_herm(a: np.ndarray) -> np.ndarray:
 def power_rows(w: np.ndarray, r, keep=None) -> np.ndarray:
     """``w ** r`` on the entries ``keep`` of the rows of ``w``, 0 elsewhere.
 
-    ``r`` is one exponent or one per row (shape ``w.shape[:-1]``).  Each
-    exponent is applied as a Python float to the entries it covers, so every
-    entry gets exactly the value the scalar call gives it (numpy computes
-    ``x ** 0.5``, ``x ** -1`` and ``x ** 2`` by sqrt, reciprocal and square).
+    ``r`` is one exponent or one per row (shape ``w.shape[:-1]``).  Every
+    entry gets exactly the value the scalar call ``w ** float(r)`` gives it:
+    one ``np.power`` over all kept entries, then the exponents numpy takes
+    by a scalar fast path (ones, copy, reciprocal, sqrt, square) redone.
     """
     out = np.zeros_like(w)
     keep = np.ones(w.shape, dtype=bool) if keep is None else keep
     r = np.asarray(r, dtype=float)
+    x = w[keep]
     if r.ndim == 0:
-        groups = [(float(r), keep)]
-    else:
-        rows = np.broadcast_to(r, w.shape[:-1])[..., None]
-        groups = [(float(val), keep & (rows == val)) for val in np.unique(r)]
-    for val, sel in groups:
-        out[sel] = w[sel] ** val if val != 0.0 else 1.0
+        out[keep] = x ** float(r) if r != 0.0 else 1.0
+        return out
+    r = np.broadcast_to(np.broadcast_to(r, w.shape[:-1])[..., None], w.shape)[keep]
+    vals = np.power(x, r)
+    for val in (0.0, 0.5, 1.0, -1.0, 2.0):
+        sel = r == val
+        if sel.any():
+            vals[sel] = x[sel] ** val if val != 0.0 else 1.0
+    out[keep] = vals
     return out
 
 

@@ -194,7 +194,7 @@ class _DeltaWork:
         """The objective at gamma or each row of gammas, with the mixtures' eigh."""
         sigma = self.mix(gamma)
         w, v = np.linalg.eigh(sigma)
-        pos, g_pos = w > SUPPORT_TOL, gamma > 0.0
+        pos, g_pos = w > 0.0, gamma > 0.0  # every positive eigenvalue counts
         tr_logsig = la.row_sums(w * np.log(np.where(pos, w, 1.0)), pos)
         d_out = tr_logsig - la.inner_real(sigma, self.log_nu)
         ratio = np.where(g_pos, gamma / self.mu_s, 1.0)
@@ -402,7 +402,9 @@ class _ChannelWork:
         pos = w > SUPPORT_TOL
         log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
         log_sig = (v * log_w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        d_out = np.sum(w * log_w, axis=1) - np.einsum("pjk,kj->p", sig, self.log_nu).real
+        # the value counts every positive eigenvalue; the gradient keeps the cut
+        d_out = (np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1)
+                 - np.einsum("pjk,kj->p", sig, self.log_nu).real)
         post = cols / mass
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(

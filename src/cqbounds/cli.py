@@ -99,7 +99,9 @@ def _write_csv(path: str, columns, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            # csv writes str, int and float cells as _fmt does (floats by repr)
+            plain = all(type(v) in (str, int, float) for v in row)
+            writer.writerow(row if plain else [_fmt(v) for v in row])
 
 
 def _rate_in(value: float, bits: bool) -> float:

@@ -3,14 +3,18 @@ inequality and oracle cross-check the package asserts.
 
 Each suite maps a master seed and an instance budget to a deterministic list
 of rows (instance_id, seed, parameters..., lhs, rhs, margin) plus a summary.
-Every instance draws from its own stream.  The trace-inequality, entropy,
-``np-oracle`` and ``expurgation`` suites then evaluate their instances
-together, as (N, d, d) stacks grouped by dimension (``expurgation`` by
-message count); each row equals the one a single-instance call gives.  The
-Neyman-Pearson pencils and the oracle's weight grid run in steps of at most
-``config.STACK_BYTES`` (64 KiB) per stacked array.  The fixed-instance
-suites (``np-trend``, ``single-letter``, ``soundness``, ``sandwich``) run
-the first ``instances`` entries of their fixed instance lists.
+Every instance and every matrix draws from its own stream.  The stacked
+suites (``alt``, ``reverse-holder``, ``reverse-alt``, the entropy suites,
+``np-oracle`` and ``expurgation``) seed their instance streams in one
+vectorized pass and their matrix streams in another (``expurgation``: two),
+with the bits of ``np.random.default_rng`` (``operators._generators``), then
+evaluate their instances together as (N, d, d) stacks grouped by dimension
+(``expurgation`` by message count); each row equals the one a
+single-instance call gives.  The Neyman-Pearson pencils and the oracle's
+weight grid run in steps of at most ``config.STACK_BYTES`` (64 KiB) per
+stacked array.  The fixed-instance suites (``np-trend``, ``single-letter``,
+``soundness``, ``sandwich``) run the first ``instances`` entries of their
+fixed instance lists.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import ValidationError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
+    _generators,
     apply_kraus,
     density_stack,
     random_channel_kraus_stack,
@@ -81,6 +86,20 @@ def _child_seed(rng) -> int:
     return int(rng.integers(0, 2**31 - 1))
 
 
+def _suite_rngs(seed: int, suite: str, instances: int) -> list:
+    """``_rng_for(seed, suite, i)`` for every instance, seeded in one batch."""
+    return _generators([seed] * instances, [(_SUITE_KEYS[suite], i) for i in range(instances)])
+
+
+def _child_streams(rngs, count: int) -> list:
+    """The streams of the next ``count`` child seeds of each instance stream
+    (one draw gives the ``_child_seed`` values in turn), seeded in one batch,
+    as ``count`` lists over the instances."""
+    seeds = [s for rng in rngs for s in rng.integers(0, 2**31 - 1, size=count).tolist()]
+    streams = _generators(seeds)
+    return [streams[j::count] for j in range(count)]
+
+
 def _finish(name, columns, rows, margins, tolerance):
     # min() skips a NaN that is not first: any NaN margin is the worst
     worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
@@ -107,17 +126,14 @@ def _groups(keys):
 
 
 def run_alt(seed: int, instances: int) -> SuiteResult:
-    draws = []
-    for i in range(instances):
-        rng = _rng_for(seed, "alt", i)
-        dim = int(rng.integers(2, 5))
-        r = float(rng.uniform(0.0, 1.0))
-        draws.append((dim, r, _child_seed(rng), _child_seed(rng)))
+    rngs = _suite_rngs(seed, "alt", instances)
+    draws = [(int(rng.integers(2, 5)), float(rng.uniform(0.0, 1.0))) for rng in rngs]
+    a_s, b_s = _child_streams(rngs, 2)
     rows = [None] * instances
     for dim, idx in _groups(d[0] for d in draws):
         r = [draws[i][1] for i in idx]
-        a = random_psd_stack(dim, [draws[i][2] for i in idx])
-        b = random_psd_stack(dim, [draws[i][3] for i in idx])
+        a = random_psd_stack(dim, [a_s[i] for i in idx])
+        b = random_psd_stack(dim, [b_s[i] for i in idx])
         m = sg.check_alt(a, b, r)
         for i, r_i, lhs, rhs, margin in zip(idx, r, m.lhs.tolist(), m.rhs.tolist(),
                                             m.margin.tolist()):
@@ -128,18 +144,15 @@ def run_alt(seed: int, instances: int) -> SuiteResult:
 
 def run_reverse_holder(seed: int, instances: int) -> SuiteResult:
     p_choices = (0.5, -1.0, 0.25, -0.5, 0.75, -2.0)
-    draws = []
-    for i in range(instances):
-        rng = _rng_for(seed, "reverse-holder", i)
-        dim = int(rng.integers(2, 5))
-        p = float(p_choices[int(rng.integers(0, len(p_choices)))])
-        draws.append(((dim, p), _child_seed(rng), _child_seed(rng), _child_seed(rng)))
+    rngs = _suite_rngs(seed, "reverse-holder", instances)
+    keys = [(int(rng.integers(2, 5)), float(p_choices[int(rng.integers(0, len(p_choices)))]))
+            for rng in rngs]
+    a_s, b_s, sigma_s = _child_streams(rngs, 3)
     rows = [None] * instances
-    for (dim, p), idx in _groups(d[0] for d in draws):
-        a = random_psd_stack(dim, [draws[i][1] for i in idx],
-                             min_eig_floor=0.05 if p < 0 else 0.0)
-        b = random_psd_stack(dim, [draws[i][2] for i in idx], min_eig_floor=0.05)
-        sigma = random_density_stack(dim, [draws[i][3] for i in idx], min_eig_floor=0.05)
+    for (dim, p), idx in _groups(keys):
+        a = random_psd_stack(dim, [a_s[i] for i in idx], min_eig_floor=0.05 if p < 0 else 0.0)
+        b = random_psd_stack(dim, [b_s[i] for i in idx], min_eig_floor=0.05)
+        sigma = random_density_stack(dim, [sigma_s[i] for i in idx], min_eig_floor=0.05)
         m = sg.check_reverse_holder(a, b, p, sigma)
         for i, lhs, rhs, margin in zip(idx, m.lhs.tolist(), m.rhs.tolist(), m.margin.tolist()):
             rows[i] = [i, seed, dim, p, lhs, rhs, margin]
@@ -148,9 +161,9 @@ def run_reverse_holder(seed: int, instances: int) -> SuiteResult:
 
 
 def run_reverse_alt(seed: int, instances: int) -> SuiteResult:
+    rngs = _suite_rngs(seed, "reverse-alt", instances)
     draws = []
-    for i in range(instances):
-        rng = _rng_for(seed, "reverse-alt", i)
+    for rng in rngs:
         dim = int(rng.integers(2, 5))
         r = float(rng.uniform(0.05, 1.0))
         slack = 1.0 / (2.0 * r) - 0.5
@@ -159,12 +172,13 @@ def run_reverse_alt(seed: int, instances: int) -> SuiteResult:
         else:
             u = float(rng.uniform(0.2, 0.8)) * slack
             a_exp, b_exp = 1.0 / u, 1.0 / (slack - u)
-        draws.append((dim, (r, a_exp, b_exp), _child_seed(rng), _child_seed(rng)))
+        draws.append((dim, (r, a_exp, b_exp)))
+    a_s, b_s = _child_streams(rngs, 2)
     rows = [None] * instances
     for dim, idx in _groups(d[0] for d in draws):
         params = [draws[i][1] for i in idx]
-        a = random_psd_stack(dim, [draws[i][2] for i in idx])
-        b = random_psd_stack(dim, [draws[i][3] for i in idx])
+        a = random_psd_stack(dim, [a_s[i] for i in idx])
+        b = random_psd_stack(dim, [b_s[i] for i in idx])
         m = sg.check_reverse_alt(a, b, *zip(*params))
         for i, par, lhs, rhs, margin in zip(idx, params, m.lhs.tolist(), m.rhs.tolist(),
                                             m.margin.tolist()):
@@ -201,22 +215,12 @@ def run_rhc(seed: int, instances: int) -> SuiteResult:
 # entropy suites
 
 
-def _seed_columns(seed: int, suite: str, instances: int, count: int):
-    """``count`` child seeds per instance, drawn in order from its stream,
-    as ``count`` lists over the instances."""
-    per_instance = []
-    for i in range(instances):
-        rng = _rng_for(seed, suite, i)
-        per_instance.append([_child_seed(rng) for _ in range(count)])
-    return [list(col) for col in zip(*per_instance)] if per_instance else [[]] * count
-
-
 def run_entropy_dp(seed: int, instances: int) -> SuiteResult:
     alphas = (1.0, 0.3, 0.5, 0.9)  # 1.0 marks the relative entropy itself
-    rho_seeds, sig_seeds, kraus_seeds = _seed_columns(seed, "entropy-dp", instances, 3)
-    rho = random_density_stack(2, rho_seeds, min_eig_floor=0.01)
-    sig = random_density_stack(2, sig_seeds, min_eig_floor=0.01)
-    kraus = random_channel_kraus_stack(2, 2, 2, kraus_seeds)
+    rho_s, sig_s, kraus_s = _child_streams(_suite_rngs(seed, "entropy-dp", instances), 3)
+    rho = random_density_stack(2, rho_s, min_eig_floor=0.01)
+    sig = random_density_stack(2, sig_s, min_eig_floor=0.01)
+    kraus = random_channel_kraus_stack(2, 2, 2, kraus_s)
     rho_out = density_stack(apply_kraus(rho, kraus))
     sig_out = density_stack(apply_kraus(sig, kraus))
     columns = []
@@ -236,11 +240,11 @@ def run_entropy_dp(seed: int, instances: int) -> SuiteResult:
 
 def run_entropy_var(seed: int, instances: int) -> SuiteResult:
     """Dominance of the variational value and equality at its maximizer."""
-    rho_seeds, sig_seeds, g_seeds = _seed_columns(seed, "entropy-var", instances, 3)
-    rho = random_density_stack(2, rho_seeds, min_eig_floor=0.05)
-    sig = random_density_stack(2, sig_seeds, min_eig_floor=0.05)
+    rho_s, sig_s, g_s = _child_streams(_suite_rngs(seed, "entropy-var", instances), 3)
+    rho = random_density_stack(2, rho_s, min_eig_floor=0.05)
+    sig = random_density_stack(2, sig_s, min_eig_floor=0.05)
     d = en.relative_entropy(rho, sig).tolist()
-    g_rand = random_psd_stack(2, g_seeds, min_eig_floor=0.1)
+    g_rand = random_psd_stack(2, g_s, min_eig_floor=0.1)
     v_rand = en.relative_entropy_variational_value(rho, sig, g_rand).tolist()
     g_opt = la.hermitize(la.expm_herm(la.logm_psd(rho) - la.logm_psd(sig)))
     v_opt = en.relative_entropy_variational_value(rho, sig, g_opt).tolist()
@@ -254,9 +258,9 @@ def run_entropy_var(seed: int, instances: int) -> SuiteResult:
 
 
 def run_renyi_limit(seed: int, instances: int) -> SuiteResult:
-    rho_seeds, sig_seeds = _seed_columns(seed, "renyi-limit", instances, 2)
-    rho = random_density_stack(2, rho_seeds, min_eig_floor=0.1)
-    sig = random_density_stack(2, sig_seeds, min_eig_floor=0.1)
+    rho_s, sig_s = _child_streams(_suite_rngs(seed, "renyi-limit", instances), 2)
+    rho = random_density_stack(2, rho_s, min_eig_floor=0.1)
+    sig = random_density_stack(2, sig_s, min_eig_floor=0.1)
     d = en.relative_entropy(rho, sig).tolist()
     da = en.renyi_relative_entropy(rho, sig, 0.999).tolist()
     rows = []
@@ -356,17 +360,14 @@ def _span_weights(r0: np.ndarray, r1: np.ndarray, ts: np.ndarray):
 
 
 def run_np_oracle(seed: int, instances: int) -> SuiteResult:
-    draws = []
-    for i in range(instances):
-        rng = _rng_for(seed, "np-oracle", i)
-        dim = 2 if rng.uniform() < 0.5 else 3
-        eps = float(rng.uniform(0.02, 0.95))
-        draws.append((dim, eps, _child_seed(rng), _child_seed(rng)))
+    rngs = _suite_rngs(seed, "np-oracle", instances)
+    draws = [(2 if rng.uniform() < 0.5 else 3, float(rng.uniform(0.02, 0.95))) for rng in rngs]
+    rho0_s, rho1_s = _child_streams(rngs, 2)
     rows = [None] * instances
     for dim, idx in _groups(d[0] for d in draws):
         eps = [draws[i][1] for i in idx]
-        rho0 = random_density_stack(dim, [draws[i][2] for i in idx], min_eig_floor=0.01)
-        rho1 = random_density_stack(dim, [draws[i][3] for i in idx], min_eig_floor=0.01)
+        rho0 = random_density_stack(dim, [rho0_s[i] for i in idx], min_eig_floor=0.01)
+        rho1 = random_density_stack(dim, [rho1_s[i] for i in idx], min_eig_floor=0.01)
         beta = ht.neyman_pearson_beta_stack(rho0, rho1, eps).tolist()
         oracle = np_scan_oracle_stack(rho0, rho1, eps).tolist()
         for i, e, b, o in zip(idx, eps, beta, oracle):
@@ -402,7 +403,7 @@ def _cq_draw(rng, x_size: int):
     q = rng.dirichlet(np.full(x_size, 4.0))
     q = 0.5 * q + 0.5 / x_size  # keep eta moderate
     q = q / q.sum()
-    return q, [_child_seed(rng) for _ in range(x_size)]
+    return q, rng.integers(0, 2**31 - 1, size=x_size).tolist()
 
 
 def _random_cq_source(rng, x_size: int, d_y: int, floor: float = 0.05) -> ht.CQSource:
@@ -483,11 +484,11 @@ def run_expurgation(seed: int, instances: int) -> SuiteResult:
     cols = ["instance_id", "seed", "kind", "eps_prime", "lhs", "rhs", "margin"]
     if not instances:
         return _finish("expurgation", cols, [], [], 1e-10)
-    rngs = [_rng_for(seed, "expurgation", i) for i in range(instances)]
+    rngs = _suite_rngs(seed, "expurgation", instances)
     sources = [_cq_draw(rng, 2) for rng in rngs]
     msg_labels = [str(w) for w in range(4)]
     # one-hot kernels: each stream draws a message for each of the 4 sequences
-    kernels = np.stack([np.eye(4)[[int(rng.integers(0, 4)) for _ in range(4)]] for rng in rngs])
+    kernels = np.stack([np.eye(4)[rng.integers(0, 4, size=4)] for rng in rngs])
     q = np.array([qx for qx, _ in sources])
     states = random_density_stack(2, [s for _, seeds in sources for s in seeds], min_eig_floor=0.05)
     states = states.reshape(instances, 2, 2, 2)
@@ -497,7 +498,9 @@ def run_expurgation(seed: int, instances: int) -> SuiteResult:
     rho_y = density_stack(ht.average_states(q, states))
     rho1 = density_stack(la.kron_pairs(rho_y, rho_y))
     # each stream then draws a test per kept message, then its budget
-    raw = random_psd_stack(4, [_child_seed(rngs[i]) for i in inst.tolist()])
+    counts = np.bincount(inst, minlength=instances)
+    raw = random_psd_stack(4, [s for rng, k in zip(rngs, counts.tolist())
+                               for s in rng.integers(0, 2**31 - 1, size=k).tolist()])
     top = np.linalg.eigvalsh(raw)[:, -1]
     ops = ht.measurement_stack(raw / (top + 1e-9)[:, None, None],
                                [msg_labels[j] for j in msg.tolist()])
@@ -507,7 +510,6 @@ def run_expurgation(seed: int, instances: int) -> SuiteResult:
         return np.trace(a @ b, axis1=-2, axis2=-1).real
 
     rows = [None] * instances
-    counts = np.bincount(inst, minlength=instances)
     first = np.cumsum(counts) - counts
     for k, idx in _groups(counts.tolist()):
         pairs = first[idx][:, None] + np.arange(k)

@@ -765,3 +765,18 @@ def test_batched_channel_evaluation_matches_one_kernel_at_a_time():
         value, grad = work.evaluate(kernels[s:s + 1])
         assert value[0] == values[s]
         assert np.array_equal(grad[0], grads[s])
+
+
+def test_channel_value_counts_eigenvalues_below_the_support_cut():
+    # one message: its posterior is the measure, diag(t, 1 - t) with t in (0, 1e-12]
+    t = 5e-13
+    states = [DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0]))]
+    nu = HermitianOperator(np.eye(2) / 2)
+    q = np.array([t, 1.0 - t])
+    work = _ChannelWork(q, q, states, nu, 2.0)
+    value = float(work.evaluate(np.ones((1, 2, 1)))[0][0])
+    want = 2.0 * (LN2 + t * math.log(t) + (1.0 - t) * math.log1p(-t))
+    assert abs(value - want) <= 1e-15
+    # Delta's objective at gamma = q on mu = q: c D(sigma || nu), the same sum
+    delta_work = _DeltaWork(q, states, nu, 2.0)
+    assert abs(float(delta_work.objective_and_eig(q)[0]) - want) <= 1e-15

@@ -13,6 +13,7 @@ import scipy.linalg
 
 from cqbounds import CQSource, ValidationError, random_density
 from cqbounds import verify as vf
+from cqbounds import cli
 from cqbounds.cli import main
 from cqbounds.model_io import load_model, save_model
 
@@ -417,3 +418,23 @@ def test_cli_beta_without_alt_states_tests_against_independence(tmp_path, n):
                  "--out", str(out)]) == 0
     line = next(row for row in _read(out).splitlines() if row.startswith("beta = "))
     assert abs(float(line.split()[2]) - 0.7) < 1e-9
+
+
+def test_csv_rows_keep_their_bytes_without_per_cell_formatting(tmp_path):
+    import csv
+
+    rows = [
+        [0, 7, "a,b", 0.1, -0.0, math.nan, math.inf, -math.inf, 10**30, 1e-300],
+        [1, True, False, np.float64(0.1), np.float64(-0.0), np.int64(-3), np.bool_(True), 2.5],
+        (2, "x", np.nan, 3, 1.0 / 3.0, np.float64(math.inf), 12, 0.0),
+    ]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["c0", "c1"], rows)
+    # the old writer: every cell through _fmt
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["c0", "c1"])
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert path.read_text().splitlines()[2].startswith("1,true,false,0.1,-0.0,-3,true,2.5")

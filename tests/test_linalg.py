@@ -239,3 +239,26 @@ def test_blas_pin_holds_for_scipy_loaded_after_cqbounds():
     scope = {}
     exec(_SINGULAR_ALTERNATIVE_BETA, scope)
     assert proc.stdout.split() == ["1", repr(scope["beta"])]
+
+
+def _power_rows_by_exponent(w, r, keep):
+    # the one-masked-pass-per-exponent loop power_rows replaced
+    out = np.zeros_like(w)
+    rows = np.broadcast_to(r, w.shape[:-1])[..., None]
+    for val in np.unique(r):
+        sel = keep & (rows == val)
+        out[sel] = w[sel] ** float(val) if val != 0.0 else 1.0
+    return out
+
+
+def test_power_rows_with_per_row_exponents_keeps_the_bits_of_the_exponent_loop():
+    rng = np.random.default_rng(22)
+    special = np.array([0.0, 0.5, 1.0, -1.0, 2.0])
+    for shape in ((400, 4), (50, 6, 3), (1, 5)):
+        w = np.exp(rng.uniform(-30.0, 2.0, size=shape))
+        keep = rng.uniform(size=shape) < 0.8
+        r = np.where(rng.uniform(size=shape[:-1]) < 0.3, rng.choice(special, size=shape[:-1]),
+                     rng.uniform(-3.0, 3.0, size=shape[:-1]))
+        assert _bits(la.power_rows(w, r, keep)) == _bits(_power_rows_by_exponent(w, r, keep))
+        full = np.ones(shape, dtype=bool)
+        assert _bits(la.power_rows(w, r)) == _bits(_power_rows_by_exponent(w, r, full))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,9 @@ from cqbounds import (
     tensor,
 )
 from cqbounds import _linalg as la
+from cqbounds import operators as ops
+
+_PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(ops.__file__)))
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -150,3 +157,65 @@ def test_dimension_cap():
 def test_subsystem_dims_validation():
     with pytest.raises(ValidationError):
         HermitianOperator(np.eye(4), (3, 2))
+
+
+# ---------------------------------------------------------------------------
+# batched seeding
+
+
+def _numpy_state(entropy, spawn_key=()):
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key)).bit_generator.state
+
+
+def test_batched_generators_match_numpy_seeding_on_entropies():
+    rng = np.random.default_rng(20)
+    entropies = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, 2**96 + 7]
+    entropies += rng.integers(0, 2**31, size=5000).tolist() + rng.integers(0, 2**63, size=5000).tolist()
+    gens = ops._generators(entropies)
+    assert len(gens) == len(entropies)
+    for gen, e in zip(gens, entropies):
+        assert gen.bit_generator.state == _numpy_state(e)
+
+
+@pytest.mark.parametrize("master", [0, 7, 12345, 2**31 - 2, 2**40])
+def test_batched_generators_match_numpy_seeding_on_spawn_keys(master):
+    keys = [(k, i) for k in (1, 16) for i in list(range(200)) + [2**32 - 1, 2**32, 2**40 + 3]]
+    gens = ops._generators([master] * len(keys), keys)
+    for gen, key in zip(gens, keys):
+        assert gen.bit_generator.state == _numpy_state(master, key)
+    assert ops._generators([], []) == []
+
+
+def _ginibre_two_normals(rng, dim):
+    # the draw of two ``normal`` calls that the one ``standard_normal`` call replaced
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def test_stack_draws_equal_a_per_seed_default_rng_loop():
+    seeds = np.random.default_rng(21).integers(0, 2**31 - 1, size=300).tolist()
+    for dim in (1, 2, 3, 4):
+        dens = ops.random_density_stack(dim, seeds, min_eig_floor=0.05 / dim)
+        psd = ops.random_psd_stack(dim, seeds, min_eig_floor=0.1)
+        for k, seed in enumerate(seeds):
+            assert dens[k].tobytes() == random_density(dim, seed, min_eig_floor=0.05 / dim).entries.tobytes()
+            g = _ginibre_two_normals(np.random.default_rng(seed), dim)
+            want = la.hermitize((g @ g.conj().T) / dim + 0.1 * np.eye(dim))
+            assert psd[k].tobytes() == want.tobytes()
+    kraus = ops.random_channel_kraus_stack(2, 2, 2, seeds)
+    for k, seed in enumerate(seeds):
+        single = ops.random_channel_kraus(2, 2, 2, seed)
+        assert all(kraus[k, e].tobytes() == single[e].tobytes() for e in range(2))
+    # one batch of Generators shared by several stacks draws the same matrices
+    gens = ops._generators(seeds)
+    assert ops.random_psd_stack(3, gens).tobytes() == ops.random_psd_stack(3, seeds).tobytes()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # a fresh process: this one has loaded numpy.random already
+    code = ("import sys\nimport cqbounds, cqbounds.cli, cqbounds.verify\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
