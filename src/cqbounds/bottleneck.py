@@ -4,9 +4,10 @@ Two central objects:
 
 * ``delta`` maximizes  c D(sum_x gamma(x) rho_x || nu) - D(gamma || mu)  over
   distributions gamma absolutely continuous w.r.t. a (possibly unnormalized)
-  measure mu, by a multistart fixed-point iteration whose starts run in
-  lock-step (stacks of ``stack_step``, the bits of a sequential run) with a
-  simplex-grid cross-check on small alphabets.
+  measure mu, by a fixed-point iteration: one start certified by a Gibbs
+  upper bound at c < 1, else a multistart in lock-step (stacks of
+  ``stack_step``, the bits of a sequential run); with a simplex-grid
+  cross-check on small alphabets.
 * ``delta_star`` maximizes  c D(sigma_{Y|U} || nu | P_U) - D(P_{X|U} || q | P_U)
   over auxiliary channels P_{U|X}: for a binary X from the exact upper
   concave envelope of a function of one variable, for |X| >= 3 by
@@ -201,10 +202,10 @@ class _DeltaWork:
         d_in = la.row_sums(gamma * np.log(ratio), g_pos)
         return la.scalar_or_array(self.c * d_out - d_in), (w, v)
 
-    def fixed_point_step(self, eig):
-        """The next gamma of each row of a stacked eig, or None for a row whose
-        weights vanish.  Each row's traces are taken alone, since a stacked
-        einsum does not keep a single call's bits."""
+    def fixed_point_logits(self, eig):
+        """ln mu(x) + c (tr[rho_x ln sigma] - tr[rho_x ln nu]) of each row of a
+        stacked eig (-inf on a kernel overlap), each row's traces taken alone:
+        a stacked einsum does not keep a single call's bits."""
         w, v = eig
         pos = w > SUPPORT_TOL
         log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
@@ -214,12 +215,26 @@ class _DeltaWork:
             ker = v[r][:, ~pos[r]]
             overlap = self.traces(ker @ ker.conj().T)
             scores[r] = np.where(overlap > KERNEL_OVERLAP_TOL, -np.inf, scores[r])
-        logits = self.log_mu + scores
+        return self.log_mu + scores
+
+    def fixed_point_step(self, eig):
+        """The next gamma of each row of a stacked eig, or None where weights vanish."""
+        logits = self.fixed_point_logits(eig)
         finite = np.isfinite(logits)
         top = np.max(logits, axis=-1, keepdims=True, where=finite, initial=-np.inf)
         weights = np.exp(np.subtract(logits, top, out=np.full_like(logits, -np.inf), where=finite))
         return [row / total if total > 0.0 else None
                 for row, total in zip(weights, weights.sum(axis=-1))]
+
+    def gibbs_bound(self, gamma, logits) -> float:
+        """U(gamma) = (1-c) ln sum_x e^(b_x / (1-c)), b_x = logit_x - c ln gamma(x),
+        >= Delta for c < 1 and = the objective at a fixed point; inf if a b_x
+        is not finite.  c S(X|Y) + (1-c) H + linear lies below its tangent +
+        (1-c) H (S(X|Y) is concave, 1-homogeneous: Lieb & Ruskai 1973), which
+        peaks at a Gibbs state; the logits' SUPPORT_TOL cut only raises U."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = logits - self.c * np.log(gamma)
+        return (1.0 - self.c) * _logsumexp(b / (1.0 - self.c)) if np.all(np.isfinite(b)) else math.inf
 
 
 def _delta_starts(k: int, count: int):
@@ -238,11 +253,12 @@ def _delta_starts(k: int, count: int):
 def delta(inst: DeltaInstance, multistarts: int = 32, cross_check: bool = True) -> DeltaResult:
     """Best value of c D(sigma_gamma || nu) - D(gamma || mu) over the simplex.
 
-    Runs a multistart fixed-point iteration (the stationarity condition
-    updates gamma(x) proportionally to mu(x) e^(c tr[rho_x ln T]) with
-    T = e^(ln sigma_gamma - ln nu)) and keeps the best iterate; the starts
-    run in lock-step, with the bits of one start at a time.  With
-    ``cross_check``, a result on a support of size at most 3 is
+    Runs the fixed-point iteration (the stationarity condition updates
+    gamma(x) proportionally to mu(x) e^(c tr[rho_x ln T]) with T =
+    e^(ln sigma_gamma - ln nu)) and keeps the best iterate: at c < 1 the
+    uniform start until a Gibbs upper bound U certifies it within 1e-12
+    max(1, |U|), else ``multistarts`` starts in lock-step, with the bits of
+    one start at a time.  With ``cross_check``, a support of at most 3 is
     cross-checked against the exhaustive 1/64 simplex grid and must agree
     within 1e-3; the better of the two feasible values wins.
     """
@@ -254,12 +270,47 @@ def delta(inst: DeltaInstance, multistarts: int = 32, cross_check: bool = True) 
 
 
 def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = True):
-    """(best value, best gamma on the support) for ``delta``: at most 500
-    fixed-point steps per start, stopping when the value moves < 1e-10.
+    """(best value, best gamma on the support) for ``delta``: at c < 1 the
+    uniform start alone if its Gibbs bound certifies it (``_certified_start``),
+    else the multistart of ``_lock_step``.  With ``cross_check``, a support of
+    at most 3 symbols is also searched on the 1/64 simplex grid."""
+    best_val, best_gamma = (work.c < 1.0 and _certified_start(work)) or _lock_step(work, multistarts)
+    if cross_check and work.support.size <= 3:
+        grid_val, grid_gamma = _delta_grid(work, work.support.size)
+        if abs(grid_val - best_val) > 1e-3 and grid_val > best_val:
+            raise ValidationError(f"fixed-point value {best_val!r} disagrees with the "
+                                  f"1/64 grid value {grid_val!r} beyond 1e-3")
+        if grid_val > best_val:
+            best_val, best_gamma = grid_val, grid_gamma
+    return best_val, best_gamma
 
-    The starts advance in lock-step, in stacks of ``stack_step`` rows with
-    one stack's eigenvectors alive at a time; each keeps the bits and stops
-    of a run on its own, and the first start to reach the best value wins.
+
+def _certified_start(work: _DeltaWork):
+    """(value, gamma) of the uniform start, which reaches the maximum at c < 1
+    (the objective is concave), stopped once its Gibbs bound U is within
+    1e-12 max(1, |U|) of its value; None if U is infinite or 500 steps pass."""
+    gamma = np.full(work.support.size, 1.0 / work.support.size)
+    best = (-math.inf, None)
+    for _ in range(500):
+        vals, eig = work.objective_and_eig(gamma[None])
+        best = max(best, (float(vals[0]), gamma), key=lambda b: b[0])
+        logits = work.fixed_point_logits(eig)[0]
+        bound = work.gibbs_bound(gamma, logits)
+        if not math.isfinite(bound):
+            return None
+        if bound - vals[0] <= 1e-12 * max(1.0, abs(bound)):
+            return best
+        weights = np.exp(logits - np.max(logits))  # every logit is finite
+        gamma = weights / weights.sum()
+    return None
+
+
+def _lock_step(work: _DeltaWork, multistarts: int):
+    """(best value, best gamma) of the multistart fixed point: at most 500
+    steps per start, stopping when the value moves < 1e-10.  The starts
+    advance in lock-step, in stacks of ``stack_step`` rows with one stack's
+    eigenvectors alive at a time; each keeps the bits and stops of a run on
+    its own, and the first start to reach the best value wins.
 
     When mu is constant on every type class of X^n (``work.types``), the
     problem is invariant under permutations of the sites: the states and
@@ -298,17 +349,7 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = Tr
                     gammas[chunk[row]] = nxt
                     moved.append(chunk[row])
         live = moved
-    best_val, best_gamma = max(best, key=lambda b: b[0])
-    if cross_check and k <= 3:
-        grid_val, grid_gamma = _delta_grid(work, k)
-        if abs(grid_val - best_val) > 1e-3 and grid_val > best_val:
-            raise ValidationError(
-                f"fixed-point value {best_val!r} disagrees with the "
-                f"1/64 grid value {grid_val!r} beyond 1e-3"
-            )
-        if grid_val > best_val:
-            best_val, best_gamma = grid_val, grid_gamma
-    return best_val, best_gamma
+    return max(best, key=lambda b: b[0])
 
 
 def _delta_grid(work: _DeltaWork, k: int):

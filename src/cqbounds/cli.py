@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -41,11 +42,6 @@ from .hyptest import (
 )
 from .model_io import load_model
 from .operators import DensityMatrix, density_stack, stack_entries
-
-COMMANDS = (
-    "entropy", "beta", "delta", "delta-star", "theta",
-    "sc-bound", "image-size", "source-bound", "verify", "sweep",
-)
 
 
 def _fmt(value) -> str:
@@ -308,6 +304,7 @@ def _cmd_sweep(args, report: Report, out_base: str):
 # argument parsing
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqbounds",

@@ -494,8 +494,8 @@ def _sequential_step(work, w, v):
 
 
 def _sequential_solve(work, multistarts, step=_sequential_step):
-    """_solve_delta without the grid cross-check, one start after another:
-    the reference for the lock-step loop."""
+    """_solve_delta's multistart without the grid cross-check, one start
+    after another: the reference for the lock-step loop."""
     k = work.support.size
     starts = bn._delta_starts(k, multistarts)
     if work.types is not None:
@@ -504,16 +504,12 @@ def _sequential_solve(work, multistarts, step=_sequential_step):
         starts = [s for i, s in enumerate(starts) if not 1 <= i <= vertices or i in keep]
     best_val, best_gamma = -math.inf, None
     for gamma in starts:
-        prev, start_best, stalled = -math.inf, -math.inf, 0
+        prev = -math.inf
         for _ in range(500):
             val, (w, v) = work.objective_and_eig(gamma)
             if val > best_val:
                 best_val, best_gamma = val, gamma.copy()
             if abs(val - prev) < 1e-10:
-                break
-            stalled = stalled + 1 if val <= start_best + 1e-12 else 0
-            start_best = max(start_best, val)
-            if stalled >= 20:
                 break
             prev = val
             gamma = step(work, w, v)
@@ -584,6 +580,83 @@ def test_lock_step_delta_stacks_at_most_stack_step_rows(monkeypatch):
         rows.clear()
         bn._solve_delta(_DeltaWork(rng.dirichlet(np.ones(2**n)), states, nu, 1.5, n), 32, False)
         assert max(rows) == step
+
+
+def _random_pure(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+def _concave_instances(count, seed=2121):
+    """Delta works at c < 1: |X| 2-3, d 2-3, n 1-3, a sub-probability mu on
+    every other instance, pure states on every other pair of instances, and
+    nu either the average state mixed with 1/10 of the maximally mixed one or
+    a random full-rank state."""
+    rng = np.random.default_rng(seed)
+    works = []
+    for i in range(count):
+        x, d = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        n = int(rng.integers(1, 4)) if x * d <= 6 else int(rng.integers(1, 3))
+        states = ([_random_pure(rng, d) for _ in range(x)] if i % 4 < 2
+                  else _random_states(rng, x, d, floor=0.0))
+        if i % 3:
+            nu = DensityMatrix(0.9 * sum(s.entries for s in states) / x + 0.1 * np.eye(d) / d)
+        else:
+            nu = _random_states(rng, 1, d, floor=0.1)[0]
+        mu = rng.dirichlet(np.ones(x**n)) * (float(rng.uniform(0.3, 1.0)) if i % 2 else 1.0)
+        works.append(_DeltaWork(mu, states, nu, float(rng.uniform(0.05, 1.0)), n))
+    return works
+
+
+def test_gibbs_bound_stays_above_the_multistart_and_certifies_the_one_start(monkeypatch):
+    # U(gamma) >= Delta at every iterate, so U is never below the value of
+    # the 32-start fallback; every instance here closes the bound, which puts
+    # the one-start value within 1e-12 of that value
+    seen, gibbs = [], _DeltaWork.gibbs_bound
+    monkeypatch.setattr(_DeltaWork, "gibbs_bound",
+                        lambda self, gamma, logits: seen.append(gibbs(self, gamma, logits)) or seen[-1])
+    works = _concave_instances(64)
+    assert sum(w.n == 3 for w in works) >= 8 and sum(w.mu_s.sum() < 0.99 for w in works) >= 20
+    for work in works:
+        seen.clear()
+        got = bn._solve_delta(work, 32, cross_check=False)
+        assert seen[-1] - got[0] <= 1e-12 * max(1.0, abs(seen[-1]))
+        want = bn._lock_step(work, 32)
+        assert all(u >= want[0] - 1e-12 for u in seen)
+        assert got[0] >= want[0] - 1e-12
+
+
+def test_certified_delta_evaluates_one_start_only(monkeypatch):
+    rows, evaluate = [], _DeltaWork.objective_and_eig
+    monkeypatch.setattr(_DeltaWork, "objective_and_eig",
+                        lambda self, gamma: rows.append(len(gamma)) or evaluate(self, gamma))
+    for work in _concave_instances(6, seed=7):
+        rows.clear()
+        bn._solve_delta(work, 32, cross_check=False)
+        assert rows and set(rows) == {1} and len(rows) < 50
+    # the grid still cross-checks a support of at most 3 symbols
+    rng = np.random.default_rng(8)
+    states = _random_states(rng, 2, 2)
+    rows.clear()
+    bn._solve_delta(_DeltaWork(np.array([0.3, 0.5]), states, states[0], 0.7), 32)
+    assert set(rows[:-1]) == {1} and rows[-1] == 65
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_delta_without_a_closed_bound_keeps_the_multistart_bits(monkeypatch, n):
+    rng = np.random.default_rng(90 + n)
+    states = _random_states(rng, 2, 2)
+    nu = DensityMatrix(0.5 * (states[0].entries + states[1].entries))
+    mu = rng.dirichlet(np.ones(2**n)) * 0.8
+    # c = 1 runs the multistart as it is
+    _assert_same_bits(_DeltaWork(mu, states, nu, 1.0, n))
+    # a bound that stays 1 above the objective runs into the step cap
+    gibbs, closes = _DeltaWork.gibbs_bound, []
+    monkeypatch.setattr(_DeltaWork, "gibbs_bound",
+                        lambda self, gamma, logits: closes.append(1) or gibbs(self, gamma, logits) + 1.0)
+    _assert_same_bits(_DeltaWork(mu, states, nu, 0.5, n))
+    assert len(closes) == 500
 
 
 def test_single_letter_gap_guards():

@@ -385,6 +385,38 @@ def test_cli_beta_on_example_model_is_pinned(tmp_path, argv, want):
         assert line in lines
 
 
+_ENTROPY_REPORT = """cqbounds report
+command = entropy
+flags = bits=false model={model} out={out}
+units = nats
+H_X = 0.6931471805599453 [nats]
+S_avg_output = 0.6172725409646116 [nats]
+S_joint = 1.1049528800834318 [nats]
+I_XY = 0.2054668414411251 [nats]
+H_Y_given_X = 0.4118056995234865 [nats]
+eta = 2.0 [1]
+gamma = 1.8716237783260865 [1]
+D_joint_vs_alt = 0.20546684144112515 [nats]
+"""
+
+
+def test_cli_parser_is_built_once_and_survives_argparse_errors(tmp_path, capsys):
+    # the parser is built on the first call and reused by every later one;
+    # calls that argparse rejects (exit 2) leave it fit for a valid call,
+    # whose report keeps the bytes recorded with a parser built per call
+    out = tmp_path / "entropy.txt"
+    for bad in (["entropy", "--out", str(out)], [],
+                ["beta", "--model", EXAMPLE_MODEL, "--n", "three", "--eps", "0.3"],
+                ["entropy", "--model", EXAMPLE_MODEL, "--bits", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert "usage: cqbounds" in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["entropy", "--model", EXAMPLE_MODEL, "--out", str(out)]) == 0
+    assert _read(out) == _ENTROPY_REPORT.format(model=EXAMPLE_MODEL, out=out)
+
+
 def test_cli_beta_diagonalizes_no_matrix_beyond_one_block(tmp_path, monkeypatch):
     # the n-letter states are block diagonal in x^n: every spectral call of
     # beta --n 4 stays within one d_y^n = 16 block, none sees the 256 x 256
