@@ -126,8 +126,7 @@ class _DeltaWork:
     sites are held as one dense block, m as large as fits in ``STACK_BYTES``
     (at least 1); mixtures and traces meet that block in one step and
     contract the n - m leading sites one at a time (Van Loan, "The ubiquitous
-    Kronecker product", 2000), so no n-letter stack is built.  When the whole
-    stack fits (m = n) they have the bits of a dense sum over the support.
+    Kronecker product", 2000), so no n-letter stack is built.
     """
 
     def __init__(self, mu, states, nu, c: float, n: int = 1):
@@ -166,30 +165,35 @@ class _DeltaWork:
         full = np.zeros(lead + (k**self.n,))
         full[..., self.support] = gamma
         rows, dim = self.block.shape[0], self.block.shape[-1]
-        # acc[r, I, J]: r indexes the leading sites still to contract, (I, J)
-        # the trailing sites already contracted.  An einsum, not a matmul:
-        # at m = n it adds the terms in the order of the dense sum over the
-        # support, which BLAS does not
-        acc = np.einsum("...rx,xj->...rj", full.reshape(lead + (-1, rows)),
-                        self.block.reshape(rows, -1))
+        # acc[..., r, IJ]: r indexes the leading sites still to contract, (I, J)
+        # the trailing sites already contracted.  Stacked matmuls: numpy runs
+        # one GEMM per slice, whose shape does not depend on the stack's size.
+        # The real weights meet the block's real and imaginary parts at once
+        flat = self.block.view(float).reshape(rows, -1)
+        acc = (full.reshape(lead + (-1, rows)) @ flat).view(complex)
         for _ in range(self.n - self.m):
-            acc = np.einsum("...rxIJ,xij->...riIjJ", acc.reshape(lead + (-1, k, dim, dim)),
-                            self.sites)
+            acc = self.sites.reshape(k, -1).T @ acc.reshape(lead + (-1, k, dim * dim))
+            acc = acc.reshape(lead + (-1, d, d, dim, dim)).swapaxes(-3, -2)
             dim *= d
         return acc.reshape(lead + (dim, dim))
 
     def traces(self, mat):
-        """Re tr[rho_x mat] for each support symbol."""
-        d = self.sites.shape[1]
-        # acc[r, I, J]: r indexes the leading sites already contracted, (I, J)
-        # the trailing sites of mat^T still to contract
-        acc = np.asarray(mat).T
-        dim = acc.shape[0]
-        for _ in range(self.n - self.m):
+        """Re tr[rho_x mat] for each support symbol, for one matrix (D, D) or
+        as the C-contiguous rows (R, support) of a stack (R, D, D); each row
+        gets the bits of a call on its matrix."""
+        k, d = self.sites.shape[:2]
+        acc = np.asarray(mat)
+        lead, dim = acc.shape[:-2], acc.shape[-1]
+        # acc[..., r, x, IJ]: r, x index the leading sites already contracted,
+        # (I, J) the trailing sites still to contract; rho^T = conj(rho)
+        for i in range(self.n - self.m):
             dim //= d
-            acc = np.einsum("riIjJ,xij->rxIJ", acc.reshape(-1, d, dim, d, dim), self.sites)
-        out = np.einsum("rIJ,xIJ->rx", acc.reshape(-1, dim, dim), self.block)
-        return out.reshape(-1)[self.support].real
+            acc = np.moveaxis(acc.reshape(lead + (k**i, d, dim, d, dim)), (-4, -2), (-2, -1))
+            acc = acc.reshape(lead + (k**i, dim * dim, d * d)) @ self.sites.conj().reshape(k, -1).T
+            acc = acc.swapaxes(-1, -2)
+        flat = self.block.reshape(len(self.block), -1).conj()
+        out = acc.reshape(lead + (k ** (self.n - self.m), dim * dim)) @ flat.T
+        return out.real.reshape(lead + (k**self.n,)).take(self.support, axis=-1)
 
     def objective_and_eig(self, gamma):
         """The objective at gamma or each row of gammas, with the mixtures' eigh."""
@@ -204,13 +208,12 @@ class _DeltaWork:
 
     def fixed_point_logits(self, eig):
         """ln mu(x) + c (tr[rho_x ln sigma] - tr[rho_x ln nu]) of each row of a
-        stacked eig (-inf on a kernel overlap), each row's traces taken alone:
-        a stacked einsum does not keep a single call's bits."""
+        stacked eig (-inf on a kernel overlap), the traces in one stacked call
+        that keeps each row's bits."""
         w, v = eig
         pos = w > SUPPORT_TOL
         log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
-        traces = [self.traces(log_sigma) for log_sigma in la.from_spectrum(log_w, v)]
-        scores = self.c * (np.reshape(traces, (len(w), self.mu_s.size)) - self.tr_lognu)
+        scores = self.c * (self.traces(la.from_spectrum(log_w, v)) - self.tr_lognu)
         for r in np.flatnonzero(~pos.all(axis=-1)):
             ker = v[r][:, ~pos[r]]
             overlap = self.traces(ker @ ker.conj().T)
@@ -288,21 +291,25 @@ def _solve_delta(work: _DeltaWork, multistarts: int = 32, cross_check: bool = Tr
 def _certified_start(work: _DeltaWork):
     """(value, gamma) of the uniform start, which reaches the maximum at c < 1
     (the objective is concave), stopped once its Gibbs bound U is within
-    1e-12 max(1, |U|) of its value; None if U is infinite or 500 steps pass."""
+    1e-12 max(1, |U|) of its value; None if U is infinite, or once the gap,
+    shrinking at its last observed ratio, would not close by step 500."""
     gamma = np.full(work.support.size, 1.0 / work.support.size)
-    best = (-math.inf, None)
-    for _ in range(500):
+    best, prev = (-math.inf, None), math.inf
+    for step in range(500):
         vals, eig = work.objective_and_eig(gamma[None])
         best = max(best, (float(vals[0]), gamma), key=lambda b: b[0])
         logits = work.fixed_point_logits(eig)[0]
         bound = work.gibbs_bound(gamma, logits)
         if not math.isfinite(bound):
             return None
-        if bound - vals[0] <= 1e-12 * max(1.0, abs(bound)):
+        gap, tol = bound - float(vals[0]), 1e-12 * max(1.0, abs(bound))
+        if gap <= tol:
             return best
+        if gap * min(gap / prev, 1.0) ** (499 - step) > tol:  # also at the cap, step 499
+            return None
+        prev = gap
         weights = np.exp(logits - np.max(logits))  # every logit is finite
         gamma = weights / weights.sum()
-    return None
 
 
 def _lock_step(work: _DeltaWork, multistarts: int):
@@ -349,6 +356,8 @@ def _lock_step(work: _DeltaWork, multistarts: int):
                     gammas[chunk[row]] = nxt
                     moved.append(chunk[row])
         live = moved
+        if not live:
+            break
     return max(best, key=lambda b: b[0])
 
 

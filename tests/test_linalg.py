@@ -202,7 +202,7 @@ def test_blas_pin_holds_when_numpy_is_imported_first():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="4", PYTHONPATH=pythonpath)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "-0.007563974269167944"
+    assert proc.stdout.strip() == "-0.00756397426916669"
 
 
 # a Neyman-Pearson solve whose alternative has a kernel: the only path that
