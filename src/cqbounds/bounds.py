@@ -103,10 +103,12 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
     enumerated deterministic classical encoders at rate ``r1``.
 
     A certified lower estimate of the n-letter encoded-divergence supremum
-    (the enumeration covers a sub-class of the admissible encoders).  The
-    alternative hypothesis shares the input distribution and replaces the
-    output states by ``src1_states``.  Message blocks of mass at most
-    ``BLOCK_MASS_TOL`` are dropped, as ``message_blocks`` drops them.
+    (the enumeration covers a sub-class of the admissible encoders), clamped
+    at 0 as every divergence is (Klein's inequality).  The alternative shares
+    the input distribution and replaces the output states by
+    ``src1_states``; one encoder per symmetry orbit is evaluated
+    (``encoder_chunks``).  Message blocks of mass at most ``BLOCK_MASS_TOL``
+    are dropped, as ``message_blocks`` drops them.
     """
     if not r2_infinite:
         raise DomainError("only the uncompressed-side regime (r2 = infinity) is supported")
@@ -121,7 +123,7 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
     weights, null_mats = product_stack(src0.q_x, stack_entries(src0.states), n)
     _, alt_mats = product_stack(src0.q_x, stack_entries(src1_states), n)
     best = -math.inf
-    for chunk in encoder_chunks(w_size, len(weights), null_mats.shape[-1]):
+    for chunk in encoder_chunks(w_size, src0.size, n, null_mats.shape[-1]):
         enc, mass, rows = encoder_rows(chunk, weights)
         kept, null_blocks = message_blocks(rows, mass, null_mats)
         _, alt_blocks = message_blocks(rows, mass, alt_mats)
@@ -132,7 +134,7 @@ def theta_n_lower(src0: CQSource, src1_states, n: int, r1: float,
         for e, pe, de in zip(enc[kept].tolist(), p.tolist(), d.tolist()):
             totals[e] += pe * de
         best = max(best, max(totals) / n)
-    return float(best)
+    return max(0.0, float(best))
 
 
 # ---------------------------------------------------------------------------

@@ -473,14 +473,39 @@ def encoder_count(n: int, r1: float, seq_count: int):
     return w_size, num_encoders
 
 
-def encoder_chunks(w_size: int, seq_count: int, dim: int):
-    """All deterministic encoders of ``seq_count`` sequences into ``w_size``
-    messages in lexicographic order, in lists of one ``stack_step`` of
-    block-diagonal states of dimension min(w_size, seq_count) dim."""
-    assignments = itertools.product(range(w_size), repeat=seq_count)
-    step = stack_step(min(w_size, seq_count) * dim)
-    while chunk := list(itertools.islice(assignments, step)):
-        yield chunk
+def encoder_chunks(w_size: int, x_size: int, n: int, dim: int):
+    """The least deterministic encoder of the |X|^n sequences (lexicographic)
+    into ``w_size`` messages in each orbit of the site permutations and
+    message relabellings, which leave beta and theta of an i.i.d. source
+    unchanged, in lexicographic order, in lists of one ``stack_step`` of
+    block-diagonal states of dimension min(w_size, |X|^n) dim.
+
+    Orderly generation (Read 1978; McKay, J. Algorithms 26, 1998): the
+    restricted-growth strings (messages numbered in order of first use) are
+    built column by column, and one is kept when no site-permuted image,
+    renumbered so, is smaller.
+    """
+    seqs = np.array(list(itertools.product(range(x_size), repeat=n)))
+    rgs = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(len(seqs)):
+        counts = np.minimum(rgs.max(axis=1, initial=-1) + 1, w_size - 1) + 1
+        tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rgs = np.column_stack([np.repeat(rgs, counts, axis=0), tail.astype(np.int8)])
+    # each string as its base-k number, k = min(w_size, |X|^n), orders
+    # strings of one length lexicographically; k^(|X|^n) <= the encoder cap
+    labels = np.arange(min(w_size, len(seqs)))
+    powers = len(labels) ** np.arange(len(seqs) - 1, -1, -1, dtype=np.int64)
+    own, keep = rgs @ powers, np.ones(len(rgs), dtype=bool)
+    for perm in itertools.permutations(range(n)) if len(rgs) > 1 else ():  # |W| = 1: one orbit
+        image = rgs[:, np.ravel_multi_index(seqs[:, perm].T, (x_size,) * n)]
+        used = image[..., None] == labels
+        first = np.where(used.any(axis=1), used.argmax(axis=1), len(seqs))
+        renumber = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
+        keep &= np.take_along_axis(renumber, image.astype(np.intp), axis=1) @ powers >= own
+    reps = rgs[keep].tolist()
+    step = stack_step(min(w_size, len(seqs)) * dim)
+    for lo in range(0, len(reps), step):
+        yield [tuple(a) for a in reps[lo:lo + step]]
 
 
 def encoder_rows(assignments, q: np.ndarray):
@@ -536,17 +561,19 @@ def _beta_for_assignment(assignment, q, states, rho1_entries, eps):
 def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     """Minimize the distributed type-II error over deterministic encoders.
 
-    Enumerates every map from length-n sequences into a message set of size
+    Covers every map from length-n sequences into a message set of size
     max(1, floor(e^(n r1))) and solves the blockwise testing problem against
     the product alternative.  The result is an upper bound on the true
     infimum; randomized encoders are convex mixtures and cannot beat the best
-    deterministic one here.  Encoders are solved in stacks of at most
-    ``STACK_BYTES`` of block-diagonal states, read from the unvalidated
-    ``product_stack``.  Returns (beta, record); the record's witness
-    ``assignment`` is the first encoder, in lexicographic order, with the
-    smallest computed beta.  Encoders related by a symmetry (relabelled
-    messages, permuted letters of an i.i.d. source) have equal betas in exact
-    arithmetic, so they tie up to rounding and the last bits pick the witness.
+    deterministic one here.  Relabelling the messages or permuting the sites
+    of the i.i.d. source leaves beta unchanged, so one encoder per orbit is
+    solved (``encoder_chunks``); ``num_encoders`` counts the maps covered.
+    Encoders are solved in stacks of at most ``STACK_BYTES`` of
+    block-diagonal states, read from the unvalidated ``product_stack``.
+    Returns (beta, record); the record's witness ``assignment`` is the least
+    member of the first orbit, in lexicographic order, with the smallest
+    computed beta: members of one orbit, whose betas tie up to rounding, are
+    never compared, so their last bits cannot pick it.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0,1); got {eps!r}")
@@ -557,7 +584,7 @@ def brute_force_beta_distributed(src: CQSource, n: int, r1: float, eps: float):
     w_size, num_encoders = encoder_count(n, r1, len(q_n))
     rho1_entries = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
     best_beta, best_assignment = None, None
-    for chunk in encoder_chunks(w_size, len(q_n), states_n.shape[-1]):
+    for chunk in encoder_chunks(w_size, src.size, n, states_n.shape[-1]):
         for assignment, beta in zip(chunk, _encoder_betas(chunk, q_n, states_n, rho1_entries, eps)):
             if best_beta is None or beta < best_beta:
                 best_beta, best_assignment = beta, assignment

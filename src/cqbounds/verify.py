@@ -630,6 +630,7 @@ def run_soundness(seed: int, instances: int) -> SuiteResult:
     """Brute-force exponents never exceed the formally evaluated bound, and
     the single-test image-size bound holds on the same instances; its Delta
     is certified to 1e-12 at c < 1 and a (safe) lower estimate at c >= 1.
+    The brute force solves one encoder per symmetry orbit of its maps.
 
     The blocklength threshold of the strong-converse statement is waived
     here (n <= 3 is far below it); the bound's three terms are evaluated

@@ -385,6 +385,18 @@ def test_cli_beta_on_example_model_is_pinned(tmp_path, argv, want):
         assert line in lines
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["theta", "--n", "2", "--r1", "0"], "theta_lower = 0.0 [nats]"),
+    (["theta", "--n", "3", "--r1", "0.3", "--bits"], "theta_lower = 0.0 [bits]"),
+])
+def test_cli_theta_prints_no_negative_divergence(tmp_path, argv, want):
+    # one message: the divergence of the average states is 0, and its
+    # rounding noise (-3.3e-16 and -3.2e-16 here) must not print below 0
+    out = tmp_path / "theta.txt"
+    assert main(argv + ["--model", EXAMPLE_MODEL, "--out", str(out)]) == 0
+    assert want in _read(out).splitlines()
+
+
 _ENTROPY_REPORT = """cqbounds report
 command = entropy
 flags = bits=false model={model} out={out}

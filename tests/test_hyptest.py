@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cqbounds import bounds as bd
 from cqbounds import hyptest as ht
 from cqbounds.operators import density_stack, stack_entries
 from cqbounds import (
@@ -24,6 +26,7 @@ from cqbounds import (
     random_density,
     random_psd,
     tensor_all,
+    theta_n_lower,
 )
 
 
@@ -296,14 +299,15 @@ def test_brute_force_matches_independent_oracle():
     assert abs(beta - oracle) < 1e-11
 
 
-def _encoder_loop_reference(src, n, r1, eps):
-    """Brute force as a plain loop over the unvalidated product states: each
-    encoder's blocks in increasing message order, blocks of mass <= 1e-14
-    dropped, solved block by block as a stack of one; first minimum wins."""
+def _encoder_loop_reference(src, n, encoders, eps):
+    """Brute force as a plain loop over the given encoders on the unvalidated
+    product states: each encoder's blocks in increasing message order, blocks
+    of mass <= 1e-14 dropped, solved block by block as a stack of one; first
+    minimum wins."""
     q_n, states_n = ht.product_stack(src.q_x, _stack(src), n)
     rho1 = tensor_all([src.rho_y] * n).entries if n > 1 else src.rho_y.entries
     best = None
-    for assignment in itertools.product(range(message_count(n, r1)), repeat=len(q_n)):
+    for assignment in encoders:
         null_blocks, alt_blocks = [], []
         for w in sorted(set(assignment)):
             members = [i for i, a in enumerate(assignment) if a == w]
@@ -330,22 +334,161 @@ def _rank_deficient_source():
     return CQSource(["0", "1"], [0.4, 0.6], states)
 
 
+@functools.lru_cache(maxsize=None)
+def _orbits(x_size, n, w_size):
+    """Every map of the |X|^n sequences (lexicographic) into ``w_size``
+    messages, in lexicographic order, and each map's orbit label: the
+    base-``w_size`` number of the least member of its orbit, found by
+    applying all n! site permutations and all w_size! message relabellings."""
+    seqs = list(itertools.product(range(x_size), repeat=n))
+    index = {s: i for i, s in enumerate(seqs)}
+    maps = np.array(list(itertools.product(range(w_size), repeat=len(seqs))))
+    powers = w_size ** np.arange(len(seqs) - 1, -1, -1)
+    label = np.full(len(maps), len(maps))
+    for sites in itertools.permutations(range(n)):
+        moved = maps[:, [index[tuple(s[j] for j in sites)] for s in seqs]]
+        for relabel in itertools.permutations(range(w_size)):
+            label = np.minimum(label, np.array(relabel)[moved] @ powers)
+    return maps, label
+
+
+def _canonical(assignment, x_size, n, w_size):
+    """The least member of an encoder's orbit, by ``_orbits``."""
+    maps, label = _orbits(x_size, n, w_size)
+    code = int(np.array(assignment) @ (w_size ** np.arange(len(assignment) - 1, -1, -1)))
+    return tuple(maps[label[code]].tolist())
+
+
+@pytest.mark.parametrize("x_size, n, w_size, count", [
+    (2, 1, 2, 2), (2, 2, 2, 6), (2, 3, 2, 40), (2, 2, 3, 10), (2, 3, 3, 250),
+    (3, 2, 2, 144), (3, 2, 3, 1708),
+])
+def test_encoder_chunks_yield_the_least_member_of_each_orbit(x_size, n, w_size, count):
+    chunks = list(ht.encoder_chunks(w_size, x_size, n, 2))
+    reps = [a for chunk in chunks for a in chunk]
+    step = ht.stack_step(min(w_size, x_size**n) * 2)
+    assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+    assert len(reps) == count
+    assert reps == sorted(set(reps))
+    maps, label = _orbits(x_size, n, w_size)
+    codes = [int(np.array(a) @ (w_size ** np.arange(x_size**n - 1, -1, -1))) for a in reps]
+    # each representative is the least member of its orbit, and every
+    # orbit holds exactly one of them
+    assert codes == label[codes].tolist()
+    assert sorted(codes) == np.unique(label).tolist()
+    sizes = np.bincount(label)
+    assert int(sizes[codes].sum()) == w_size ** (x_size**n) == len(maps)
+
+
 @pytest.mark.parametrize("case", ["three-messages", "rank-deficient"])
 def test_brute_force_matches_encoder_loop_bit_for_bit(case, monkeypatch):
     if case == "three-messages":
-        # 81 encoders with 1, 2 and 3 blocks, among them the 3 constant ones
-        src, n, r1 = _src(), 2, math.log(3.0) / 2
+        # the 10 orbits of 81 encoders, with 1, 2 and 3 blocks
+        src, n, w_size = _src(), 2, 3
     else:
-        src, n, r1 = _rank_deficient_source(), 2, math.log(2.0) / 2
-    # 7 of the largest block-diagonal states per stacked step: the encoder
-    # count is not a multiple of it, and a step splits one encoder's pencils
-    dim = min(message_count(n, r1), src.size**n) * src.d_y**n
-    monkeypatch.setattr(ht, "STACK_BYTES", 16 * dim * dim * 7)
-    want_beta, want_assignment = _encoder_loop_reference(src, n, r1, 0.3)
+        src, n, w_size = _rank_deficient_source(), 2, 2
+    r1 = math.log(w_size) / n
+    # 4 of the largest block-diagonal states per stacked step: the
+    # representative count is not a multiple of it, and a step splits one
+    # encoder's pencils
+    dim = min(w_size, src.size**n) * src.d_y**n
+    monkeypatch.setattr(ht, "STACK_BYTES", 16 * dim * dim * 4)
+    maps, label = _orbits(src.size, n, w_size)
+    reps = [tuple(m) for m in maps[label == np.arange(len(maps))].tolist()]
+    assert len(reps) % ht.stack_step(dim) != 0
+    want_beta, want_assignment = _encoder_loop_reference(src, n, reps, 0.3)
     beta, record = brute_force_beta_distributed(src, n, r1, 0.3)
-    assert record.constants["num_encoders"] % ht.stack_step(dim) != 0
+    assert record.constants["num_encoders"] == w_size ** (src.size**n)
     assert beta == want_beta
     assert record.witnesses["assignment"] == want_assignment
+
+
+def _every_encoder(w_size, x_size, n, dim):
+    """All W^(|X|^n) maps in lexicographic order, in the chunks
+    ``encoder_chunks`` uses: the full search the orbit search replaces."""
+    maps = itertools.product(range(w_size), repeat=x_size**n)
+    step = ht.stack_step(min(w_size, x_size**n) * dim)
+    while chunk := list(itertools.islice(maps, step)):
+        yield chunk
+
+
+def _oracle_cases(max_maps):
+    """Every (|X|, n, W) with 2 <= W <= |X|^n and at most ``max_maps`` maps
+    for |X| <= 5 (which holds every case with n >= 2 up to 6,561 maps; at
+    n = 1 only the messages are relabelled, so larger alphabets add no kind
+    of symmetry), and three with W > |X|^n (messages no encoder can all use)."""
+    cases = [(x, n, w) for x in range(2, 6) for n in range(1, 4) for w in range(2, x**n + 1)
+             if w ** (x**n) <= max_maps]
+    wide = [(x, n, w) for x, n, w in ((2, 1, 3), (3, 1, 4), (2, 2, 5)) if w ** (x**n) <= max_maps]
+    return cases + wide
+
+
+def _cq_source(x_size, d, seed):
+    q = np.arange(1.0, x_size + 1.0)
+    return CQSource([str(x) for x in range(x_size)], q / q.sum(),
+                    [random_density(d, seed + x, min_eig_floor=0.02) for x in range(x_size)])
+
+
+@pytest.mark.parametrize("x_size, n, w_size", _oracle_cases(6561))
+def test_orbit_search_matches_full_enumeration(x_size, n, w_size, monkeypatch):
+    src = _cq_source(x_size, 2, 40 + 7 * x_size + n)
+    alt = [random_density(2, 90 + x, min_eig_floor=0.05) for x in range(x_size)]
+    r1 = math.log(w_size + 0.5) / n
+    beta, record = brute_force_beta_distributed(src, n, r1, 0.3)
+    theta = theta_n_lower(src, alt, n, r1)
+    # larger stacked steps only save time: each member keeps its bits
+    monkeypatch.setattr(ht, "STACK_BYTES", 1 << 20)
+    monkeypatch.setattr(ht, "encoder_chunks", _every_encoder)
+    monkeypatch.setattr(bd, "encoder_chunks", _every_encoder)
+    full_beta, full_record = brute_force_beta_distributed(src, n, r1, 0.3)
+    assert beta == pytest.approx(full_beta, rel=1e-12, abs=0.0)
+    assert theta_n_lower(src, alt, n, r1) == pytest.approx(theta, rel=1e-12, abs=0.0)
+    assert record.constants == full_record.constants | {"beta_min": beta}
+    witness = record.witnesses["assignment"]
+    assert witness == _canonical(witness, x_size, n, w_size)
+    assert witness == _canonical(full_record.witnesses["assignment"], x_size, n, w_size)
+
+
+@pytest.mark.parametrize("n, w_size", [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_orbit_search_matches_full_enumeration_on_rank_deficient_qutrits(n, w_size, monkeypatch):
+    src = _rank_deficient_source()
+    r1 = math.log(w_size + 0.5) / n
+    beta, record = brute_force_beta_distributed(src, n, r1, 0.7)
+    monkeypatch.setattr(ht, "encoder_chunks", _every_encoder)
+    full_beta, full_record = brute_force_beta_distributed(src, n, r1, 0.7)
+    assert beta == pytest.approx(full_beta, rel=1e-12, abs=0.0)
+    assert record.witnesses["assignment"] == _canonical(full_record.witnesses["assignment"],
+                                                        2, n, w_size)
+
+
+def _haar_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+    qm, r = np.linalg.qr(z)
+    return qm * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("case, n, r1, eps", [
+    ("rank-deficient", 2, math.log(2.0) / 2, 0.7),
+    ("example", 3, 0.3, 0.3),
+    ("example", 2, 0.4, 0.5),
+])
+def test_best_encoder_does_not_move_under_rotation(case, n, r1, eps):
+    # a unitary on the output space leaves every encoder's beta unchanged;
+    # picking the first of a tie within one orbit by its last bits, the
+    # full search printed two or three witnesses over these 20 rotations
+    src = _rank_deficient_source() if case == "rank-deficient" else load_model(EXAMPLE_MODEL)[0]
+    witnesses, betas = set(), []
+    for seed in range(20):
+        u = _haar_unitary(src.d_y, seed)
+        turned = CQSource(src.alphabet, src.q_x,
+                          [DensityMatrix(u @ s.entries @ u.conj().T) for s in src.states])
+        beta, record = brute_force_beta_distributed(turned, n, r1, eps)
+        assert record.constants["w_size"] == 2
+        witnesses.add("".join(str(w) for w in record.witnesses["assignment"]))
+        betas.append(beta)
+    assert len(witnesses) == 1
+    assert max(betas) - min(betas) <= 1e-12 * min(betas)
 
 
 def test_stacked_neyman_pearson_matches_single_calls():
