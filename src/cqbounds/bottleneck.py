@@ -1,21 +1,20 @@
 """Information-bottleneck style functionals for classical-quantum channels.
 
-Two central objects:
+Each evaluates one objective on the simplex, coded once in
+``_DeltaWork.objective``: f(gamma) = c D(sum_x gamma(x) rho_x || nu) - D(gamma || mu).
 
-* ``delta`` maximizes  c D(sum_x gamma(x) rho_x || nu) - D(gamma || mu)  over
-  distributions gamma absolutely continuous w.r.t. a (possibly unnormalized)
-  measure mu, by a fixed-point iteration: one start certified by a Gibbs
-  upper bound at c < 1, else a multistart in lock-step (stacks of
-  ``stack_step``, the bits of a sequential run); with a simplex-grid
-  cross-check on small alphabets.
-* ``delta_star`` maximizes  c D(sigma_{Y|U} || nu | P_U) - D(P_{X|U} || q | P_U)
-  over auxiliary channels P_{U|X}: for a binary X from the exact upper
-  concave envelope of a function of one variable, for |X| >= 3 by
-  multistart entropic mirror ascent.
+* ``delta`` = max f over gamma << mu (a possibly unnormalized measure), by a
+  fixed-point iteration: one start certified by a Gibbs upper bound at c < 1,
+  else a multistart in lock-step (stacks of ``stack_step``, the bits of a
+  sequential run); with a simplex-grid cross-check on small alphabets.
+* ``delta_star`` = (cav f)(q) at mu = q: the best c D(sigma_{Y|U} || nu | P_U)
+  - D(P_{X|U} || q | P_U) = sum_u P(u) f(P_{X|U=u}) over channels P_{U|X}
+  (Nair 2013; Salek et al., IEEE TIT 2019).  A binary X takes the exact
+  upper concave envelope, |X| >= 3 a multistart entropic mirror ascent;
+  ``phi`` is the same envelope at p_tilde.
 
-Also here: the variational form of ``delta``, the mixed-input functional used
-by the continuity bound, dominated typical sets, and the single-letter gap
-certificate.
+Also here: the variational form of ``delta``, the continuity bound, dominated
+typical sets, and the single-letter gap certificate.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ MAX_DELTA_SUPPORT = 256
 def _check_delta_input(mu, states, nu, c: float, n: int = 1):
     """Reject an input of Delta(mu, nu, c) over the n-letter products of
     ``states``: mu needs |X|^n nonnegative entries of total mass at most 1,
-    c must be positive and finite, and nu full rank on the n-letter space."""
+    c must be positive and finite, and nu full rank on the n-letter space.
+    Returns nu's eigh, whose spectrum the rank check reads."""
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.shape[0] != len(states) ** n:
         raise ValidationError(f"mu has shape {mu.shape}; expected |X|^n = {len(states) ** n} entries")
@@ -66,11 +66,13 @@ def _check_delta_input(mu, states, nu, c: float, n: int = 1):
     if not (math.isfinite(c) and c > 0.0):
         raise ValidationError(f"c must be positive and finite; got {c!r}")
     nu_arr = _as_array(nu)
-    if float(np.min(np.linalg.eigvalsh(nu_arr))) < 1e-10:
+    eig = np.linalg.eigh(nu_arr)
+    if float(eig[0][0]) < 1e-10:
         raise ValidationError("nu must be full rank (min eigenvalue >= 1e-10)")
     dims = {s.dim for s in states}
     if len(dims) != 1 or dims.pop() ** n != nu_arr.shape[0]:
         raise DimensionMismatchError("states and nu live on different dimensions")
+    return eig
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class _DeltaWork:
 
     def __init__(self, mu, states, nu, c: float, n: int = 1):
         self.nu_n = tensor_all([nu] * n) if n > 1 else nu
-        _check_delta_input(mu, states, self.nu_n, c, n)
+        w, v = _check_delta_input(mu, states, self.nu_n, c, n)
         mu = np.asarray(mu, dtype=float)
         self.support = np.flatnonzero(mu > 0.0)
         if self.support.size == 0:
@@ -141,11 +143,16 @@ class _DeltaWork:
         self.log_mu = np.log(self.mu_s)
         self.sites = stack_entries(states)
         k, d = self.sites.shape[:2]
-        # the type class of each sequence is its sorted symbols; ``types``
-        # labels the support's classes when mu is constant on every class
-        seqs = np.sort(np.arange(k**n)[:, None] // k ** np.arange(n) % k, axis=1)
-        _, first, cls = np.unique(seqs, axis=0, return_index=True, return_inverse=True)
-        self.types = cls[self.support] if np.all(mu == mu[first][cls]) else None
+        # a sequence's type class is its sorted symbols, read as one base-k
+        # number, first symbol first; ``types`` labels the support's classes
+        # when mu is constant on every class (at n = 1 each class is a symbol)
+        self.types = None
+        if n > 1:
+            seqs = np.sort(np.arange(k**n)[:, None] // k ** np.arange(n) % k, axis=1)
+            code = seqs @ k ** np.arange(n)[::-1]
+            _, first, cls = np.unique(code, return_index=True, return_inverse=True)
+            if np.all(mu == mu[first][cls]):
+                self.types = cls[self.support]
         self.n, self.m = n, 1
         while self.m < n and 16 * (k * d * d) ** (self.m + 1) <= STACK_BYTES:
             self.m += 1
@@ -154,7 +161,7 @@ class _DeltaWork:
             dim = block.shape[-1] * d
             block = la.kron_pairs(block[:, None], self.sites[None]).reshape(-1, dim, dim)
         self.block = block
-        self.log_nu = la.logm_psd(_as_array(self.nu_n))
+        self.log_nu = la.from_spectrum(np.log(w), v)  # the bits of la.logm_psd
         self.tr_lognu = self.traces(self.log_nu)
 
     def mix(self, gamma):
@@ -195,25 +202,37 @@ class _DeltaWork:
         out = acc.reshape(lead + (k ** (self.n - self.m), dim * dim)) @ flat.T
         return out.real.reshape(lead + (k**self.n,)).take(self.support, axis=-1)
 
-    def objective_and_eig(self, gamma):
-        """The objective at gamma or each row of gammas, with the mixtures' eigh."""
-        sigma = self.mix(gamma)
-        w, v = np.linalg.eigh(sigma)
+    def objective(self, gamma, sigma, w):
+        """f(gamma) = c D(sigma || nu) - D(gamma || mu) at gamma or each row of
+        gammas, from the mixtures sigma and their eigenvalues w."""
         pos, g_pos = w > 0.0, gamma > 0.0  # every positive eigenvalue counts
         tr_logsig = la.row_sums(w * np.log(np.where(pos, w, 1.0)), pos)
         d_out = tr_logsig - la.inner_real(sigma, self.log_nu)
         ratio = np.where(g_pos, gamma / self.mu_s, 1.0)
         d_in = la.row_sums(gamma * np.log(ratio), g_pos)
-        return la.scalar_or_array(self.c * d_out - d_in), (w, v)
+        return la.scalar_or_array(self.c * d_out - d_in)
+
+    def objective_and_eig(self, gamma):
+        """The objective at gamma or each row of gammas, with the mixtures' eigh."""
+        sigma = self.mix(gamma)
+        eig = np.linalg.eigh(sigma)
+        return self.objective(gamma, sigma, eig[0]), eig
+
+    def scores(self, eig):
+        """c (tr[rho_x ln sigma] - tr[rho_x ln nu]) of each row of a stacked
+        eig, ln sigma cut at ``SUPPORT_TOL``, the traces in one stacked call
+        that keeps each row's bits.  Up to a constant, the objective's
+        gradient is these scores - ln(gamma / mu)."""
+        w, v = eig
+        log_w = np.where(w > SUPPORT_TOL, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
+        return self.c * (self.traces(la.from_spectrum(log_w, v)) - self.tr_lognu)
 
     def fixed_point_logits(self, eig):
-        """ln mu(x) + c (tr[rho_x ln sigma] - tr[rho_x ln nu]) of each row of a
-        stacked eig (-inf on a kernel overlap), the traces in one stacked call
-        that keeps each row's bits."""
+        """ln mu(x) + ``scores`` of each row of a stacked eig (-inf on a
+        kernel overlap)."""
         w, v = eig
         pos = w > SUPPORT_TOL
-        log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
-        scores = self.c * (self.traces(la.from_spectrum(log_w, v)) - self.tr_lognu)
+        scores = self.scores(eig)
         for r in np.flatnonzero(~pos.all(axis=-1)):
             ker = v[r][:, ~pos[r]]
             overlap = self.traces(ker @ ker.conj().T)
@@ -423,60 +442,36 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 class _ChannelWork:
-    """Objective/gradient for the channel functional with separate measure
-    (weights the joint) and reference (penalizes the posterior)."""
+    """The channel functional sum_u P(u) f(P_X|U=u): the joint weighted by
+    ``measure``, f the Delta objective of ``delta`` (a ``_DeltaWork``), whose
+    mu is the reference that penalizes the posteriors."""
 
     def __init__(self, measure, reference, states, nu, c):
         self.measure = np.asarray(measure, dtype=float)
-        self.reference = np.asarray(reference, dtype=float)
-        self.stack = stack_entries(states)
-        self.log_nu = la.logm_psd(_as_array(nu))
-        self.tr_lognu = np.einsum("xjk,kj->x", self.stack, self.log_nu).real
-        self.c = c
+        self.delta = _DeltaWork(reference, states, nu, c)
 
     def evaluate(self, kernels):
         """Values (S,) and gradients (S, x, u) for a stack of S kernels.
 
         Every (kernel, message) pair with mass above ``_ROW_MASS_TOL`` is one
-        column p of the (x, p) joint, so all conditional outputs go through
-        one einsum and one batched ``eigh``.
+        posterior row p of the (p, x) stack, so all of them go through one
+        stacked objective and one batched ``eigh``.
         """
         joint = self.measure[None, :, None] * kernels  # (s, x, u)
         p_u = joint.sum(axis=1)
         active = p_u > _ROW_MASS_TOL
-        cols = joint.transpose(1, 0, 2)[:, active]  # (x, p), p runs over (s, u)
         mass = p_u[active]
-        blocks = np.einsum("xp,xjk->pjk", cols, self.stack)
-        sig = blocks / mass[:, None, None]
-        w, v = np.linalg.eigh(sig)
-        pos = w > SUPPORT_TOL
-        log_w = np.where(pos, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
-        log_sig = (v * log_w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        # the value counts every positive eigenvalue; the gradient keeps the cut
-        d_out = (np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1)
-                 - np.einsum("pjk,kj->p", sig, self.log_nu).real)
-        post = cols / mass
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(
-                post > 0.0, post * np.log(np.maximum(post, 1e-300) / self.reference[:, None]), 0.0
-            )
-        d_in = terms.sum(axis=0)
+        post = joint.transpose(0, 2, 1)[active] / mass[:, None]  # (p, x), p runs over (s, u)
+        vals, eig = self.delta.objective_and_eig(post)
         # pad with -0.0, an exact additive identity: with fewer than 8 messages
         # a row sums its active terms as np.sum sums them alone, so a kernel
         # gets the same value in a batch as by itself
         per_message = np.full(active.shape, -0.0)
-        per_message[active] = mass * (self.c * d_out - d_in)
-        values = per_message.sum(axis=1)
-        scores = np.einsum("xjk,pkj->xp", self.stack, log_sig).real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                cols > 0.0,
-                np.log(np.maximum(cols, 1e-300) / (mass * self.reference[:, None])),
-                0.0,
-            )
+        per_message[active] = mass * vals
+        ratio = np.where(post > 0.0, post / self.delta.mu_s, 1.0)
         grads = np.zeros_like(kernels)
-        grads.transpose(1, 0, 2)[:, active] = self.c * (scores - self.tr_lognu[:, None]) - ratio
-        return values, grads
+        grads.transpose(0, 2, 1)[active] = self.delta.scores(eig) - np.log(ratio)
+        return per_message.sum(axis=1), grads
 
 
 def _channel_starts(k: int, u_size: int, count: int):
@@ -552,13 +547,12 @@ def _binary_envelope(work: _ChannelWork, u_size: int):
     129-point grid, then zoomed with 17 points around each end, the spacing
     shrinking 8x per level to below 1e-13.  The value is the objective at
     that channel or at one message, the better: it is achievable."""
-    p = float(work.measure[0])
+    p, delta = float(work.measure[0]), work.delta
     def best_chord(t):
         g = np.stack([t, 1.0 - t], axis=1)  # the posteriors P(X | U=u)
-        w = np.linalg.eigvalsh(np.einsum("gx,xjk->gjk", g, work.stack))
+        sigma = delta.mix(g)
         # every positive eigenvalue counts: the zoom would exploit a SUPPORT_TOL cut
-        f = (work.c * (np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1) - g @ work.tr_lognu)
-             - np.sum(g * np.log(np.where(g > 0.0, g, 1.0) / work.reference), axis=1))
+        f = delta.objective(g, sigma, np.linalg.eigvalsh(sigma))
         # tl = p gives f(p) itself, one message; th > p keeps th - tl > 0
         tl, fl, th, fh = t[t <= p, None], f[t <= p, None], t[t > p], f[t > p]
         chords = (fl * (th - p) + fh * (p - tl)) / (th - tl)
@@ -578,24 +572,27 @@ def _binary_envelope(work: _ChannelWork, u_size: int):
     return float(values.max()), kernels[np.argmax(values)]
 
 
-def _best_channel(work: _ChannelWork, u_size: int, multistarts: int, max_iter: int):
-    """(value, kernel) of the channel functional: the exact envelope for a binary
-    input and two or more messages, else the ascent.  Both reject a c at which
-    4c (the ascent's largest step) overflows: one domain of c for every |X|."""
+def _best_channel(measure, reference, states, nu, c, u_size: int, multistarts: int,
+                  max_iter: int):
+    """(value, kernel) of the ``_ChannelWork`` functional: the exact envelope for
+    a binary input and two or more messages, else the ascent.  Both reject a c
+    at which 4c (the ascent's largest step) overflows: one domain of c for
+    every |X|.  The rest of the input then meets ``_check_delta_input``."""
     if u_size < 1:
         raise DomainError("u_size must be at least 1")
     if multistarts < 1:
         raise DomainError(f"multistarts must be at least 1; got {multistarts!r}")
-    if not 0.0 < work.c < math.inf:
-        raise DomainError(f"c must be positive and finite; got {work.c!r}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"c must be positive and finite; got {c!r}")
+    work = _ChannelWork(measure, reference, states, nu, c)
     with np.errstate(over="raise"):
         try:
-            np.multiply(4.0, work.c)  # raises where 4c overflows
+            np.multiply(4.0, c)  # raises where 4c overflows
             if work.measure.shape[0] == 2 and u_size >= 2:
                 return _binary_envelope(work, u_size)
             return _ascend_channel(work, u_size, multistarts, max_iter)
         except FloatingPointError:
-            raise DomainError(f"c = {work.c!r} overflows the mirror-ascent step") from None
+            raise DomainError(f"c = {c!r} overflows the mirror-ascent step") from None
 
 
 def _validate_distribution(q, states):
@@ -624,11 +621,10 @@ def delta_star(q, states, nu, c: float, u_size: int, multistarts: int = 64,
     ``multistarts`` ascents of at most ``max_iter`` steps, which may fall short.
     """
     q = _validate_distribution(q, states)
-    states = tuple(states)
-    work = _ChannelWork(q, q, states, nu, c)
-    value, kernel = _best_channel(work, u_size, multistarts, max_iter)
-    rho_avg = np.einsum("x,xjk->jk", q, work.stack)
-    i_uy, i_ux = chain_informations(q, work.stack, rho_avg, kernel)
+    value, kernel = _best_channel(q, q, states, nu, c, u_size, multistarts, max_iter)
+    stack = stack_entries(states)
+    rho_avg = np.einsum("x,xjk->jk", q, stack)
+    i_uy, i_ux = chain_informations(q, stack, rho_avg, kernel)
     if np.max(np.abs(_as_array(nu) - rho_avg)) <= 1e-12:
         alt, tol = float(c * i_uy - i_ux), max(1e-9, 1e-13 * abs(float(c * i_uy)))
         if abs(alt - value) > tol:
@@ -667,9 +663,7 @@ def phi(p_tilde, q, states, rho_y, c: float, u_size: int, multistarts: int = 64)
     q = np.asarray(q, dtype=float)
     if q.shape != p_tilde.shape or np.any(q <= 0.0):
         raise ValidationError("q must be a full-support distribution matching p_tilde")
-    work = _ChannelWork(p_tilde, q, tuple(states), rho_y, c)
-    value, _ = _best_channel(work, u_size, multistarts, 2000)
-    return value
+    return _best_channel(p_tilde, q, tuple(states), rho_y, c, u_size, multistarts, 2000)[0]
 
 
 def continuity_margin(p_tilde, q, states, rho_y, c: float, eps: float,

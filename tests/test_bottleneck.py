@@ -7,8 +7,10 @@ import pytest
 import scipy.special
 
 from cqbounds import (
+    CQSource,
     DensityMatrix,
     DeltaInstance,
+    DimensionMismatchError,
     DomainError,
     HermitianOperator,
     PreconditionError,
@@ -30,8 +32,9 @@ from cqbounds import bottleneck as bn
 from cqbounds import hyptest as ht
 from cqbounds._linalg import expm_herm, logm_psd
 from cqbounds.bottleneck import _ChannelWork, _DeltaWork
+from cqbounds.cli import main
 from cqbounds.config import KERNEL_OVERLAP_TOL, STACK_BYTES, SUPPORT_TOL
-from cqbounds.model_io import load_model
+from cqbounds.model_io import load_model, save_model
 
 LN2 = math.log(2.0)
 
@@ -907,3 +910,120 @@ def test_channel_value_counts_eigenvalues_below_the_support_cut():
     # Delta's objective at gamma = q on mu = q: c D(sigma || nu), the same sum
     delta_work = _DeltaWork(q, states, nu, 2.0)
     assert abs(float(delta_work.objective_and_eig(q)[0]) - want) <= 1e-15
+
+
+def _einsum_channel_evaluate(measure, reference, states, nu, c, kernels):
+    """Values and gradients of the channel functional, coded with their own
+    einsums, eigh and logs apart from ``_DeltaWork``: the reference of
+    ``_ChannelWork.evaluate``.  Also returns, per
+    kernel and message, the smallest eigenvalue of the posterior's mixture
+    above ``SUPPORT_TOL`` (1 for an unused message)."""
+    stack = np.stack([s.entries for s in states])
+    log_nu = logm_psd(nu.entries)
+    tr_lognu = np.einsum("xjk,kj->x", stack, log_nu).real
+    joint = measure[None, :, None] * kernels
+    p_u = joint.sum(axis=1)
+    active = p_u > 1e-14
+    cols = joint.transpose(1, 0, 2)[:, active]
+    mass = p_u[active]
+    sig = np.einsum("xp,xjk->pjk", cols, stack) / mass[:, None, None]
+    w, v = np.linalg.eigh(sig)
+    log_w = np.where(w > SUPPORT_TOL, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
+    log_sig = (v * log_w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    d_out = (np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1)
+             - np.einsum("pjk,kj->p", sig, log_nu).real)
+    post = cols / mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(post > 0.0, post * np.log(np.maximum(post, 1e-300) / reference[:, None]), 0.0)
+        ratio = np.where(cols > 0.0, np.log(np.maximum(cols, 1e-300) / (mass * reference[:, None])), 0.0)
+    per_message = np.full(active.shape, -0.0)
+    per_message[active] = mass * (c * d_out - terms.sum(axis=0))
+    scores = np.einsum("xjk,pkj->xp", stack, log_sig).real
+    grads = np.zeros_like(kernels)
+    grads.transpose(1, 0, 2)[:, active] = c * (scores - tr_lognu[:, None]) - ratio
+    smallest = np.ones(active.shape)
+    smallest[active] = np.min(np.where(w > SUPPORT_TOL, w, 1.0), axis=1)
+    return per_message.sum(axis=1), grads, smallest
+
+
+def _einsum_envelope_f(reference, states, nu, c, t):
+    """The binary envelope's f(t), coded with its own einsums apart from
+    ``_DeltaWork``: the reference of the envelope's f."""
+    stack = np.stack([s.entries for s in states])
+    tr_lognu = np.einsum("xjk,kj->x", stack, logm_psd(nu.entries)).real
+    g = np.stack([t, 1.0 - t], axis=1)
+    w = np.linalg.eigvalsh(np.einsum("gx,xjk->gjk", g, stack))
+    return (c * (np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1) - g @ tr_lognu)
+            - np.sum(g * np.log(np.where(g > 0.0, g, 1.0) / reference), axis=1))
+
+
+def test_channel_functional_matches_an_einsum_reference():
+    # 200 instances: |X| 2-4, d 2-3, 2-4 messages, c up to 8, pure states on
+    # every third, p_tilde != q (phi's case) on every other one.  The two
+    # codes round the mixtures differently, so two slacks follow the
+    # conditioning: a zero eigenvalue of a mixture of pure states rounds to a
+    # few ulps either way, and each adds up to c |eps ln eps| < 1e-14 c to the
+    # value; tr[rho_x ln sigma] moves by about eps ln(1/lambda) / lambda,
+    # lambda the smallest eigenvalue above the support cut, as its eigenvector
+    # is fixed only to eps / lambda against the cut ones
+    rng = np.random.default_rng(2517)
+    for i in range(200):
+        x, d, u = (int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+        states = ([_random_pure(rng, d) for _ in range(x)] if i % 3 == 0
+                  else _random_states(rng, x, d, floor=0.0))
+        q = rng.dirichlet(np.ones(x))
+        measure = rng.dirichlet(np.ones(x)) if i % 2 else q
+        nu = _random_states(rng, 1, d, floor=0.05)[0]
+        c = float(rng.uniform(0.1, 8.0))
+        kernels = rng.dirichlet(np.full(u, 0.5), size=(5, x))
+        kernels[1, :, 0] = 0.0  # a message no input uses
+        kernels[2, 0] = np.eye(u)[0]  # posteriors with zero entries
+        kernels /= kernels.sum(axis=2, keepdims=True)
+        values, grads = _ChannelWork(measure, q, states, nu, c).evaluate(kernels)
+        want_values, want_grads, smallest = _einsum_channel_evaluate(measure, q, states, nu, c, kernels)
+        slack = 1e-14 * c * d if i % 3 == 0 else 0.0
+        assert np.all(np.abs(values - want_values) <= 1e-14 * np.maximum(1.0, np.abs(want_values)) + slack)
+        lam = smallest[:, None, :]
+        tol = 1e-12 * np.maximum(1.0, np.abs(want_grads)) + 1e-15 * (1.0 - np.log(lam)) / lam
+        assert np.all(np.abs(grads - want_grads) <= tol)
+        if x == 2:
+            t = np.append(np.linspace(0.0, 1.0, 33), q[0])
+            g = np.stack([t, 1.0 - t], axis=1)
+            delta = _DeltaWork(q, states, nu, c)
+            sigma = delta.mix(g)
+            f = delta.objective(g, sigma, np.linalg.eigvalsh(sigma))
+            want = _einsum_envelope_f(q, states, nu, c, t)
+            assert np.all(np.abs(f - want) <= 1e-14 * np.maximum(1.0, np.abs(want)) + slack)
+
+
+def test_channel_functionals_take_deltas_input_domain(tmp_path):
+    # delta_star and phi reject the references Delta rejects, with its errors
+    q, states, _ = _pinned_source("example")
+    for nu, error in ((DensityMatrix(np.eye(3) / 3), DimensionMismatchError),
+                      (DensityMatrix(np.diag([1.0 - 5e-11, 5e-11])), ValidationError)):
+        with pytest.raises(error):
+            DeltaInstance(q, states, nu, 2.0)
+        with pytest.raises(error):
+            delta_star(q, states, nu, 2.0, 3)
+        with pytest.raises(error):
+            phi(q, q, states, nu, 2.0, 3)
+    # the command line exits 2 on an average output that Delta rejects
+    src = CQSource(["0", "1"], [0.5, 0.5], [DensityMatrix(np.diag([1.0, 0.0])),
+                                            DensityMatrix(np.diag([1.0 - 1e-10, 1e-10]))])
+    save_model(tmp_path / "m.json", src)
+    assert main(["delta-star", "--c", "2.0", "--nu", "avg", "--model", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "r.txt")]) == 2
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 5), (3, 2), (3, 4), (4, 3)])
+def test_type_class_labels_follow_the_sorted_rows(k, n):
+    # the labels of a class-constant mu are those of np.unique over the
+    # sorted symbol rows, first symbol most significant
+    rng = np.random.default_rng(k * 10 + n)
+    seqs = np.arange(k**n)[:, None] // k ** np.arange(n)[::-1] % k
+    # a function of the sorted symbols, so constant on every class to the bit
+    mu = np.exp(np.sort(seqs, axis=1) @ rng.normal(size=n))
+    mu /= mu.sum()
+    work = _DeltaWork(mu, _random_states(rng, k, 2), _random_states(rng, 1, 2, floor=0.1)[0], 1.5, n)
+    _, want = np.unique(np.sort(seqs, axis=1), axis=0, return_inverse=True)
+    assert np.array_equal(work.types, want.ravel())

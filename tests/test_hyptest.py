@@ -647,8 +647,10 @@ def test_symmetric_encoders_tie_up_to_rounding():
     encoders += [e.translate(str.maketrans("01", "10")) for e in encoders]
     betas = ht._encoder_betas([tuple(map(int, e)) for e in encoders], q_n, states_n, rho1, 0.3)
     assert max(betas) - min(betas) <= 1e-12 * min(betas)
-    # the search keeps the first encoder, in lexicographic order, of the
-    # smallest computed beta: 00001111 wins its tie with the last bits
+    # the search solves one encoder per orbit of site permutations x message
+    # relabellings, the orbit's lexicographically least member.  The six
+    # encoders form one orbit, so its least member 00001111 is the witness
+    # and the other five are never solved: no tie is broken by rounding
     beta, record = brute_force_beta_distributed(src, 3, 0.3, 0.3)
     assert record.witnesses["assignment"] == (0, 0, 0, 0, 1, 1, 1, 1)
     assert beta == betas[0] == min(betas)

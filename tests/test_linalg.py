@@ -262,3 +262,27 @@ def test_power_rows_with_per_row_exponents_keeps_the_bits_of_the_exponent_loop()
         assert _bits(la.power_rows(w, r, keep)) == _bits(_power_rows_by_exponent(w, r, keep))
         full = np.ones(shape, dtype=bool)
         assert _bits(la.power_rows(w, r)) == _bits(_power_rows_by_exponent(w, r, full))
+
+
+def test_row_sums_of_short_rows_keep_the_bits_of_the_masked_loop():
+    # rows of fewer than 8 entries take one stacked sum with the dropped
+    # entries zeroed: numpy adds such a row in order, so each sum keeps the
+    # bits of np.sum over the row's kept entries
+    rng = np.random.default_rng(12)
+
+    def loop(x, keep):
+        return np.array([np.sum(row[k]) for row, k in zip(x, keep)])
+
+    for k in range(1, 8):
+        for _ in range(300):
+            rows = int(rng.integers(1, 41))
+            x = rng.normal(size=(rows, k)) * np.exp(rng.normal(scale=5.0, size=(rows, k)))
+            keep = rng.random((rows, k)) < 0.7
+            assert _bits(la.row_sums(x, keep)) == _bits(loop(x, keep))
+    # at 8 entries numpy adds pairwise, so a zeroed stacked sum would move
+    # bits; rows this long still sum one at a time
+    x = rng.normal(size=(400, 8)) * np.exp(rng.normal(scale=5.0, size=(400, 8)))
+    keep = rng.random((400, 8)) < 0.7
+    want = loop(x, keep)
+    assert _bits(np.where(keep, x, 0.0).sum(axis=-1)) != _bits(want)
+    assert _bits(la.row_sums(x, keep)) == _bits(want)
